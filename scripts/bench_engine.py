@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine smoke benchmark: writes ``BENCH_engine.json``.
 
-Measures the three layers the fused-engine PR optimised, against the
+Measures the three layers of the profile pipeline, against the
 retained pre-optimisation reference pipeline:
 
 - ``machine_run``: raw VM throughput (instr/s) of both execution
@@ -12,13 +12,13 @@ retained pre-optimisation reference pipeline:
   hold two paper-scale traces in memory at once).  Each timing is the
   best of two runs, each in a fresh process, so one kernel's heap does
   not pollute the next measurement and scheduler noise is rejected;
-- ``fused_engine``: scenario throughput (scenarios/s) of
-  ``FusedDataflowEngine`` over the standard figure-3..8 scenario set;
+- ``engine``: scenario throughput (scenarios/s) of
+  ``StreamingDataflowEngine`` over the standard figure-3..8 scenario
+  set;
 - ``collect_profiles``: wall-clock of a full 14-kernel profile
-  collection — the pre-PR per-scenario baseline
-  (``run_profile_reference``), a cold fused run (empty cache), and a
-  warm run (cache hit) — plus the cold/warm speed-ups and a
-  bit-identical check of the profiles.
+  collection — the per-scenario baseline (``run_profile_reference``),
+  a cold run (empty cache), and a warm run (cache hit) — plus the
+  cold/warm speed-ups and a bit-identical check of the profiles.
 
 With ``--tracev3`` the script instead benchmarks the streaming trace
 pipeline and writes ``BENCH_tracev3.json``:
@@ -31,9 +31,10 @@ pipeline and writes ``BENCH_tracev3.json``:
 - per-kernel ``columns``: a per-column decode micro-benchmark —
   encoded size, share and decode wall time of every v3 section (the
   breakdown that located the tomcatv value-column decode anomaly);
-- ``engine``: ``StreamingDataflowEngine`` vs ``FusedDataflowEngine``
-  scenario throughput over the standard figure-3..8 scenario set at
-  ``--budget``, with a bit-identity check of every ``TimingResult``;
+- ``engine``: profile throughput of ``StreamingDataflowEngine`` over
+  the standard figure-3..8 scenario set at ``--budget``, draining the
+  v3 file against draining the in-memory trace, with a bit-identity
+  check of both profiles against ``run_profile_reference``;
 - exits non-zero when bit-identity fails, when the v3-vs-v2
   compression ratio drops below the 4x floor on any kernel, or when
   the slowest kernel decodes more than 3x slower than the fastest
@@ -43,9 +44,10 @@ With ``--coldpath`` the script benchmarks the cold execute→analyze
 path end to end and writes ``BENCH_coldpath.json``: per kernel, pure
 execution wall time (fresh-process best-of-2), execute+encode wall
 time (the incremental v3 writer), and the tee'd cold run
-(execute+encode+analyze in one drain, cache entry persisted), plus a
-bit/byte-identity check of the tee'd path against write-then-reread
-at ``--verify-budget``.  Ratio gates keep it machine-independent:
+(execute+encode+analyze in one drain, cache entry persisted), plus an
+identity check at ``--verify-budget``: the tee'd results against the
+per-scenario ``DataflowModel`` oracle, and the tee'd cache entry
+byte for byte against ``write_stream(ExecutionChunkStream)``.  Ratio gates keep it machine-independent:
 encode overhead (write/exec wall) must stay under 3x and every
 identity check must hold.
 
@@ -64,14 +66,15 @@ measurements use a throwaway directory, so the run neither reads nor
 pollutes ``.repro-cache/``.
 
 The script exits non-zero when the fast backend fails bit-identity,
-when it is *slower* than the interpreter, or when the fused-engine
-profile collection regresses — so a CI hook-up fails loudly instead
+when it is *slower* than the interpreter, or when the profile
+collection regresses — so a CI hook-up fails loudly instead
 of silently shipping a slow or wrong backend.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -83,28 +86,25 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.baselines.ilr import instruction_reusability  # noqa: E402
+from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability  # noqa: E402
+from repro.core.reuse_tlr import ConstantReuseLatency, tlr_reuse_plan  # noqa: E402
 from repro.core.traces import maximal_reusable_spans  # noqa: E402
-from repro.dataflow.model import FusedDataflowEngine, Scenario  # noqa: E402
+from repro.dataflow.model import DataflowModel, Scenario  # noqa: E402
+from repro.dataflow.streaming import StreamingDataflowEngine  # noqa: E402
 from repro.exp.config import ExperimentConfig  # noqa: E402
-from repro.exp.runner import run_profile_reference  # noqa: E402
-from repro.workloads.base import build_program, run_workload  # noqa: E402
+from repro.exp.runner import (  # noqa: E402
+    profile_scenarios,
+    profile_stream,
+    run_profile_reference,
+)
+from repro.workloads.base import (  # noqa: E402
+    build_program,
+    get_workload,
+    run_workload,
+)
 from repro.vm.fastmachine import FastMachine  # noqa: E402
 from repro.vm.machine import Machine  # noqa: E402
 from repro.vm.trace import trace_identical  # noqa: E402
-
-
-def scenario_set(config: ExperimentConfig) -> list[Scenario]:
-    """The scenarios one ``run_profile`` call evaluates."""
-    win = config.window_size
-    scens = [Scenario("base", window_size=None), Scenario("base", window_size=win)]
-    for latency in config.reuse_latencies:
-        for window in (None, win):
-            scens.append(Scenario("ilr", window_size=window, latency=float(latency)))
-            scens.append(Scenario("tlr", window_size=window, latency=float(latency)))
-    for k in config.proportional_ks:
-        scens.append(Scenario("tlr", window_size=win, k=k))
-    return scens
 
 
 _RUN_SNIPPET = """\
@@ -196,14 +196,11 @@ def bench_machine_run(budget: int, verify_budget: int) -> dict:
     }
 
 
-def bench_fused_engine(budget: int, config: ExperimentConfig) -> dict:
+def bench_engine(budget: int, config: ExperimentConfig) -> dict:
     trace = run_workload("compress", max_instructions=budget, use_cache=False)
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    scens = scenario_set(config)
+    scens = profile_scenarios(config)
     start = time.perf_counter()
-    engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    engine.analyze_all(scens)
+    StreamingDataflowEngine(trace).analyze_all(scens)
     elapsed = time.perf_counter() - start
     return {
         "kernel": "compress",
@@ -264,7 +261,6 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     """Streaming trace pipeline benchmark (``--tracev3``)."""
     import pickle
 
-    from repro.dataflow.streaming import StreamingDataflowEngine
     from repro.vm.trace import as_columnar
     from repro.vm.tracestream import (
         ExecutionChunkStream,
@@ -341,32 +337,28 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     reads = [per_kernel[k]["read_instr_per_sec"] for k in kernels]
     decode_balance = max(reads) / min(reads)
 
-    # streaming vs materialized engine throughput + bit-identity.
-    # Both timers start from a ready trace and end at the full
-    # scenario-set results: the streaming engine derives reusability
-    # flags and spans internally, so the materialized leg must pay
-    # for the same derivation inside its timer or the comparison
-    # charges that work to streaming only.
+    # engine throughput draining the v3 file vs the in-memory trace,
+    # both bit-identical to the per-scenario reference pipeline
+    config = dataclasses.replace(config, use_cache=False)
     trace = run_workload("compress", max_instructions=engine_budget,
                          use_cache=False)
-    scens = scenario_set(config)
+    suite = get_workload("compress").suite
     start = time.perf_counter()
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    fused = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    mat_results = fused.analyze_all(scens)
+    mat_profile = profile_stream(trace, "compress", suite, config)
     mat_s = time.perf_counter() - start
 
     engine_path = tmp / "engine.trace"
     write_v3(trace, engine_path)
-    del trace, reuse, spans, fused
+    del trace
     gc.collect()
     start = time.perf_counter()
-    streaming = StreamingDataflowEngine(FileTraceStream(engine_path))
-    stream_results = streaming.analyze_all(scens)
+    stream_profile = profile_stream(FileTraceStream(engine_path), "compress",
+                                    suite, config)
     stream_s = time.perf_counter() - start
     engine_path.unlink()
-    bit_identical = mat_results == stream_results
+    reference = run_profile_reference("compress", config)
+    bit_identical = mat_profile == stream_profile == reference
+    scenario_count = len(profile_scenarios(config))
 
     return {
         "kernels": list(kernels),
@@ -377,11 +369,11 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
         "engine": {
             "kernel": "compress",
             "instructions": engine_budget,
-            "scenarios": len(scens),
+            "scenarios": scenario_count,
             "materialized_seconds": round(mat_s, 4),
             "streaming_seconds": round(stream_s, 4),
-            "materialized_scenarios_per_sec": round(len(scens) / mat_s, 1),
-            "streaming_scenarios_per_sec": round(len(scens) / stream_s, 1),
+            "materialized_scenarios_per_sec": round(scenario_count / mat_s, 1),
+            "streaming_scenarios_per_sec": round(scenario_count / stream_s, 1),
             "streaming_overhead": round(stream_s / mat_s, 2),
             "bit_identical": bit_identical,
         },
@@ -400,10 +392,28 @@ COLDPATH_SCENARIOS = [
 ]
 
 
+def oracle_results(trace, scenarios) -> list:
+    """Each scenario through one ``DataflowModel.analyze`` scan."""
+    reuse = instruction_reusability(trace)
+    spans = maximal_reusable_spans(trace, reuse.flags)
+    results = []
+    for scenario in scenarios:
+        model = DataflowModel(scenario.window_size)
+        if scenario.kind == "base":
+            plan = None
+        elif scenario.kind == "ilr":
+            plan = ilr_reuse_plan(trace, reuse.flags, scenario.latency)
+        else:
+            plan = tlr_reuse_plan(trace, spans,
+                                  ConstantReuseLatency(scenario.latency),
+                                  fetch_free=scenario.fetch_free)
+        results.append(model.analyze(trace, plan))
+    return results
+
+
 def bench_coldpath(trace_budget: int, verify_budget: int,
                    tmpdir: str) -> dict:
     """Cold execute→analyze benchmark (``--coldpath``)."""
-    from repro.dataflow.streaming import StreamingDataflowEngine
     from repro.vm.tracestream import ExecutionChunkStream, write_stream
     from repro.workloads.base import stream_workload
 
@@ -432,38 +442,34 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         os.environ["REPRO_CACHE_DIR"] = str(tmp / "cold" / name)
         start = time.perf_counter()
         tee = stream_workload(name, max_instructions=trace_budget,
-                              backend="fast", direct=True)
+                              backend="fast")
         engine = StreamingDataflowEngine(tee)
         engine.analyze_all(COLDPATH_SCENARIOS)
         cold_s = time.perf_counter() - start
         persisted = bool(getattr(tee, "persisted", False))
 
-        # identity: tee'd == write-then-reread == materialized fused,
-        # and the two cache entries are the same bytes — at a budget
-        # small enough to hold the materialized trace
-        os.environ["REPRO_CACHE_DIR"] = str(tmp / "va" / name)
-        direct_res = StreamingDataflowEngine(
+        # identity at a budget small enough to hold the materialized
+        # trace: the tee'd results equal the per-scenario oracle's, and
+        # the tee'd cache entry is the same bytes as a plain
+        # write_stream of the same execution
+        os.environ["REPRO_CACHE_DIR"] = str(tmp / "verify" / name)
+        tee_res = StreamingDataflowEngine(
             stream_workload(name, max_instructions=verify_budget,
-                            backend="fast", direct=True)
+                            backend="fast")
         ).analyze_all(COLDPATH_SCENARIOS)
-        (entry_a,) = (tmp / "va" / name / "traces").glob("*.trace")
-        os.environ["REPRO_CACHE_DIR"] = str(tmp / "vb" / name)
-        legacy_res = StreamingDataflowEngine(
-            stream_workload(name, max_instructions=verify_budget,
-                            backend="fast", direct=False)
-        ).analyze_all(COLDPATH_SCENARIOS)
-        (entry_b,) = (tmp / "vb" / name / "traces").glob("*.trace")
+        (entry,) = (tmp / "verify" / name / "traces").glob("*.trace")
+        plain = tmp / f"{name}.plain.trace"
+        write_stream(ExecutionChunkStream(
+            lambda name=name: FastMachine(build_program(name)),
+            program_name=name, max_instructions=verify_budget), plain)
         trace = FastMachine(build_program(name)).run(
             max_instructions=verify_budget)
-        reuse = instruction_reusability(trace)
-        spans = maximal_reusable_spans(trace, reuse.flags)
-        fused_res = FusedDataflowEngine(
-            trace, flags=reuse.flags, spans=spans,
-        ).analyze_all(COLDPATH_SCENARIOS)
-        del trace, reuse, spans
+        oracle_res = oracle_results(trace, COLDPATH_SCENARIOS)
+        del trace
         gc.collect()
-        identical = (direct_res == legacy_res == fused_res
-                     and entry_a.read_bytes() == entry_b.read_bytes())
+        identical = (tee_res == oracle_res
+                     and entry.read_bytes() == plain.read_bytes())
+        plain.unlink()
         all_identical = all_identical and identical and persisted
 
         encode_overhead = write_s / exec_s
@@ -572,8 +578,9 @@ def main(argv: list[str] | None = None) -> int:
         cp = report["coldpath"]
         ok = True
         if not cp["bit_identical"]:
-            print("FAIL: the tee'd cold path is not bit/byte-identical "
-                  "to write-then-reread", file=sys.stderr)
+            print("FAIL: the tee'd cold path is not bit-identical to the "
+                  "oracle, or its cache entry differs from write_stream",
+                  file=sys.stderr)
             ok = False
         if cp["max_encode_overhead_vs_exec"] > 3.0:
             print(f"FAIL: encoding overhead exceeds 3x pure execution "
@@ -598,8 +605,8 @@ def main(argv: list[str] | None = None) -> int:
         tv = report["tracev3"]
         ok = True
         if not tv["engine"]["bit_identical"]:
-            print("FAIL: streaming engine results are not bit-identical "
-                  "to the materialized engine", file=sys.stderr)
+            print("FAIL: engine profiles are not bit-identical to "
+                  "run_profile_reference", file=sys.stderr)
             ok = False
         if tv["min_ratio_vs_v2"] < 4.0:
             print(f"FAIL: v3 compression ratio vs v2 fell below the 4x "
@@ -619,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine_run": bench_machine_run(
                 args.machine_budget, args.verify_budget
             ),
-            "fused_engine": bench_fused_engine(
+            "engine": bench_engine(
                 args.budget, ExperimentConfig(max_instructions=args.budget)
             ),
             "collect_profiles": bench_collect_profiles(args.budget),
@@ -642,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
     cp = report["collect_profiles"]
     if not (cp["bit_identical"] and cp["cold_speedup"] >= 1.0):
-        print("FAIL: fused-engine profile collection regressed",
+        print("FAIL: profile collection regressed",
               file=sys.stderr)
         ok = False
     return 0 if ok else 1

@@ -49,22 +49,32 @@ def instruction_reusability(
     ``(pc, input signature)`` was seen before; afterwards the
     signature is recorded.
 
-    Columnar traces take a fast path that builds signatures straight
-    from the location/value columns — ``(locs, values)`` tuple pairs
-    discriminate exactly like the row layout's pair-tuples, so the
-    flags are identical, without materialising any row records.
-    Chunk streams (:mod:`repro.vm.tracestream`) run the same columnar
-    loop chunk by chunk with a persistent history; only the flag list
-    itself is O(n) (one byte-ish per instruction), never the trace.
+    Columnar traces and chunk streams (:mod:`repro.vm.tracestream`)
+    take the column path, :func:`reusability_flags`, one segment at a
+    time with a persistent history; only the flag list itself is O(n),
+    never the trace.
     """
-    if isinstance(trace, ColumnarTrace):
-        return _columnar_reusability(trace)
     from repro.vm.tracestream import is_chunk_stream
 
-    if is_chunk_stream(trace):
-        return _stream_reusability(trace)
-    instructions = stream_of(trace)
     history: dict[int, set] = {}
+    if isinstance(trace, ColumnarTrace) or is_chunk_stream(trace):
+        if isinstance(trace, ColumnarTrace):
+            segments = [trace]
+        else:
+            segments = trace.chunks()
+        packed = bytearray()
+        for segment in segments:
+            packed += reusability_flags(segment, history)
+        reusable = packed.count(1)
+        return ReusabilityResult(
+            flags=list(map(bool, packed)),
+            reusable_count=reusable,
+            total_count=len(packed),
+            static_count=len(history),
+            # every non-reusable instance records one new signature
+            signature_count=len(packed) - reusable,
+        )
+    instructions = stream_of(trace)
     flags: list[bool] = []
     reusable = 0
     signature_count = 0
@@ -90,74 +100,36 @@ def instruction_reusability(
     )
 
 
-def _columnar_reusability(trace: ColumnarTrace) -> ReusabilityResult:
-    pcs = trace.pcs
-    rb, rl, rv = trace.read_bounds, trace.read_locs, trace.read_vals
-    history: dict[int, set] = {}
+def reusability_flags(
+    segment: ColumnarTrace, history: dict[int, set]
+) -> bytearray:
+    """Reusability flags (one byte each) of one columnar segment.
+
+    ``history`` maps each pc to the input signatures seen so far and is
+    updated in place, so folding a stream's segments through one table
+    gives the whole-stream flags.  A signature is the pair of the read
+    location and value tuples, which discriminates exactly like the row
+    layout's pair tuples.  The loop is deliberately scalar: Python set
+    membership treats 1 and 1.0 as the same signature, which a
+    bit-level batch encoding of the value columns would split.
+    """
+    pcs = segment.pcs
+    rb, rl, rv = segment.read_bounds, segment.read_locs, segment.read_vals
     history_get = history.get
-    flags: list[bool] = []
-    flags_append = flags.append
-    reusable = 0
-    signature_count = 0
+    flags = bytearray(len(pcs))
     a = 0
     for i, pc in enumerate(pcs):
         b = rb[i + 1]
         seen = history_get(pc)
         if seen is None:
-            seen = set()
-            history[pc] = seen
+            seen = history[pc] = set()
         sig = (tuple(rl[a:b]), tuple(rv[a:b]))
         if sig in seen:
-            flags_append(True)
-            reusable += 1
+            flags[i] = 1
         else:
             seen.add(sig)
-            signature_count += 1
-            flags_append(False)
         a = b
-    return ReusabilityResult(
-        flags=flags,
-        reusable_count=reusable,
-        total_count=len(flags),
-        static_count=len(history),
-        signature_count=signature_count,
-    )
-
-
-def _stream_reusability(stream) -> ReusabilityResult:
-    """:func:`_columnar_reusability` folded over a chunk stream."""
-    history: dict[int, set] = {}
-    history_get = history.get
-    flags: list[bool] = []
-    flags_append = flags.append
-    reusable = 0
-    signature_count = 0
-    for chunk in stream.chunks():
-        pcs = chunk.pcs
-        rb, rl, rv = chunk.read_bounds, chunk.read_locs, chunk.read_vals
-        a = 0
-        for i, pc in enumerate(pcs):
-            b = rb[i + 1]
-            seen = history_get(pc)
-            if seen is None:
-                seen = set()
-                history[pc] = seen
-            sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-            if sig in seen:
-                flags_append(True)
-                reusable += 1
-            else:
-                seen.add(sig)
-                signature_count += 1
-                flags_append(False)
-            a = b
-    return ReusabilityResult(
-        flags=flags,
-        reusable_count=reusable,
-        total_count=len(flags),
-        static_count=len(history),
-        signature_count=signature_count,
-    )
+    return flags
 
 
 def reusability_by_class(

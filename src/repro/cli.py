@@ -74,14 +74,11 @@ import argparse
 import os
 import sys
 
-from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability
-from repro.core.reuse_tlr import ConstantReuseLatency, tlr_reuse_plan
 from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
-from repro.core.stats import trace_io_stats
-from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import DataflowModel
+from repro.dataflow.model import Scenario
+from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.figures import (
     figure3,
@@ -99,7 +96,12 @@ from repro.isa.disasm import disassemble
 from repro.util.tables import format_table
 from repro.vm.backends import BACKENDS
 from repro.vm.tracefile import save_trace
-from repro.workloads.base import all_workloads, build_program, run_workload
+from repro.workloads.base import (
+    all_workloads,
+    build_program,
+    run_workload,
+    stream_workload,
+)
 
 
 def _cmd_workloads(_args) -> int:
@@ -138,46 +140,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.stream:
-        return _cmd_analyze_stream(args)
-    trace = run_workload(
-        args.workload,
-        max_instructions=args.budget,
-        use_cache=not args.no_cache,
-        backend=args.backend,
-    )
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    stats = trace_io_stats(spans)
-    print(f"{args.workload}: {len(trace)} instructions, "
-          f"{reuse.percent_reusable:.1f}% reusable, "
-          f"{stats.trace_count} traces (avg {stats.avg_trace_size:.1f} instr, "
-          f"{stats.avg_inputs:.1f} in / {stats.avg_outputs:.1f} out)")
-    rows = []
-    for window in (None, args.window):
-        model = DataflowModel(window_size=window)
-        base = model.analyze(trace)
-        ilr = model.analyze(trace, ilr_reuse_plan(trace, reuse.flags, 1.0))
-        tlr = model.analyze(
-            trace, tlr_reuse_plan(trace, spans, ConstantReuseLatency(1.0))
-        )
-        label = "infinite" if window is None else f"W={window}"
-        rows.append([label, base.ipc, ilr.speedup_over(base), tlr.speedup_over(base)])
-    print(format_table(["window", "base_ipc", "ilr_speedup", "tlr_speedup"], rows))
-    return 0
-
-
-def _cmd_analyze_stream(args) -> int:
-    """``analyze --stream``: same numbers, O(chunk) memory.
-
-    The trace is consumed as a chunk stream and all six scenarios fold
-    inside one :class:`StreamingDataflowEngine` drain; output is
-    bit-identical to the materialized path.
-    """
-    from repro.dataflow.model import Scenario
-    from repro.dataflow.streaming import StreamingDataflowEngine
-    from repro.workloads.base import stream_workload
-
+    """Six scenarios (base, ILR and TLR at latency 1, infinite and
+    finite window) folded inside one :class:`StreamingDataflowEngine`
+    drain of the kernel's chunk stream."""
     stream = stream_workload(
         args.workload,
         max_instructions=args.budget,
@@ -185,8 +150,9 @@ def _cmd_analyze_stream(args) -> int:
         backend=args.backend,
     )
     engine = StreamingDataflowEngine(stream)
+    windows = (None, args.window)
     scenarios = []
-    for window in (None, args.window):
+    for window in windows:
         scenarios.append(Scenario("base", window_size=window))
         scenarios.append(Scenario("ilr", window_size=window, latency=1.0))
         scenarios.append(Scenario("tlr", window_size=window, latency=1.0))
@@ -197,9 +163,9 @@ def _cmd_analyze_stream(args) -> int:
           f"{stats.trace_count} traces (avg {stats.avg_trace_size:.1f} instr, "
           f"{stats.avg_inputs:.1f} in / {stats.avg_outputs:.1f} out)")
     rows = []
-    for i, window in enumerate((None, args.window)):
+    for i, window in enumerate(windows):
         base, ilr, tlr = results[3 * i:3 * i + 3]
-        label = "infinite" if window is None else f"W={args.window}"
+        label = "infinite" if window is None else f"W={window}"
         rows.append([label, base.ipc, ilr.speedup_over(base), tlr.speedup_over(base)])
     print(format_table(["window", "base_ipc", "ilr_speedup", "tlr_speedup"], rows))
     return 0
@@ -208,7 +174,7 @@ def _cmd_analyze_stream(args) -> int:
 def _cmd_figures(args) -> int:
     config = ExperimentConfig(
         max_instructions=args.budget, use_cache=not args.no_cache,
-        backend=args.backend, streaming=True if args.stream else None,
+        backend=args.backend,
     )
     profiles = collect_profiles(config)
     for failure in getattr(profiles, "failures", ()):
@@ -235,7 +201,7 @@ def _cmd_figures(args) -> int:
     if args.fig9:
         fig9_config = ExperimentConfig(
             max_instructions=args.fig9_budget, use_cache=not args.no_cache,
-            backend=args.backend, streaming=True if args.stream else None,
+            backend=args.backend,
         )
         print(render(figure9(fig9_config)))
     if getattr(profiles, "manifest_path", None) is not None:
@@ -511,7 +477,6 @@ def _cmd_sweep(args) -> int:
 
     config = ExperimentConfig(
         max_instructions=args.budget, backend=args.backend,
-        streaming=True if args.stream else None,
     )
     if args.enqueue_only:
         plan = enqueue_sweep(config)
@@ -696,9 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--window", type=int, default=256)
     p_an.add_argument("--no-cache", action="store_true",
                       help="bypass the persistent trace cache")
-    p_an.add_argument("--stream", action="store_true",
-                      help="analyse through the streaming pipeline "
-                      "(O(chunk) memory, bit-identical numbers)")
 
     p_fig = sub.add_parser("figures", help="regenerate the paper's figures", parents=[backend_parent])
     p_fig.add_argument("--budget", type=int, default=20_000)
@@ -707,9 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--fig9-budget", type=int, default=8_000)
     p_fig.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent trace/profile cache")
-    p_fig.add_argument("--stream", action="store_true",
-                       help="profile every kernel through the streaming "
-                       "pipeline (O(chunk) memory, bit-identical numbers)")
 
     p_rtm = sub.add_parser("rtm", help="finite-RTM design sweep", parents=[backend_parent])
     p_rtm.add_argument("workload")
@@ -761,8 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--lease-ttl", type=float, default=600.0,
                       help="seconds before a live worker's lease may be "
                       "stolen (dead workers are stolen from immediately)")
-    p_sw.add_argument("--stream", action="store_true",
-                      help="workers profile through the streaming pipeline")
 
     p_wk = sub.add_parser(
         "worker", help="run one shard worker over the persistent queue",

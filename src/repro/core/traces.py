@@ -156,16 +156,19 @@ def span_from_range(
     )
 
 
-def _span_from_columnar(trace: ColumnarTrace, start: int, stop: int) -> TraceSpan:
-    """:func:`span_from_range` over trace columns — no row records.
+def _fold_liveness(
+    trace: ColumnarTrace, start: int, stop: int,
+    live_in: dict[int, int | float], live_out: dict[int, int | float],
+) -> None:
+    """Fold instructions ``[start, stop)`` of a columnar segment into
+    running live-in/live-out tables.
 
-    Liveness walks the flattened location/value columns with running
-    cursors; the dict-insertion-order construction matches
-    :func:`compute_liveness` exactly, so the resulting span is equal
-    to the row-layout one field for field.
+    The walk runs over the flattened location/value columns with
+    running cursors; dict insertion order matches
+    :func:`compute_liveness`, so a span built from the tables equals
+    the row-layout one field for field.  Carrying the tables across
+    calls extends one span over several segments.
     """
-    live_in: dict[int, int | float] = {}
-    live_out: dict[int, int | float] = {}
     rb, rl, rv = trace.read_bounds, trace.read_locs, trace.read_vals
     wb, wl, wv = trace.write_bounds, trace.write_locs, trace.write_vals
     a = rb[start]
@@ -181,11 +184,61 @@ def _span_from_columnar(trace: ColumnarTrace, start: int, stop: int) -> TraceSpa
         while wa < b:
             live_out[wl[wa]] = wv[wa]
             wa += 1
+
+
+def _columnar_spans(segments, flags: Sequence[bool]) -> list[TraceSpan]:
+    """Maximal reusable spans over columnar segments in stream order.
+
+    ``segments`` is one materialized trace (``[trace]``) or a chunk
+    stream's ``chunks()``; a flagged run that crosses a segment
+    boundary carries its liveness tables into the next segment, so
+    memory is O(segment + longest span's live sets).
+    """
+    if isinstance(flags, (bytes, bytearray)):
+        fb = flags
+    else:
+        fb = bytes(map(bool, flags))
+    total = len(fb)
+    spans: list[TraceSpan] = []
+    # [start, start_pc, live_in, live_out, next_pc] of the run in progress
+    run: list | None = None
+    offset = 0
+    for seg in segments:
+        end = offset + len(seg)
+        if end > total:
+            raise ValueError("flags must align with the instruction stream")
+        i = offset
+        while i < end:
+            if run is None:
+                i = fb.find(1, i, end)
+                if i < 0:
+                    break
+                run = [i, seg.pcs[i - offset], {}, {}, 0]
+            j = fb.find(0, i, end)
+            if j < 0:
+                j = end
+            if j > i:
+                _fold_liveness(seg, i - offset, j - offset, run[2], run[3])
+                run[4] = seg.next_pcs[j - 1 - offset]
+            if j < end:
+                spans.append(_close_span(run, j))
+                run = None
+            i = j
+        offset = end
+    if offset != total:
+        raise ValueError("flags must align with the instruction stream")
+    if run is not None:
+        spans.append(_close_span(run, offset))
+    return spans
+
+
+def _close_span(run: list, stop: int) -> TraceSpan:
+    start, start_pc, live_in, live_out, next_pc = run
     return TraceSpan(
         start=start,
         stop=stop,
-        start_pc=trace.pcs[start],
-        next_pc=trace.next_pcs[stop - 1],
+        start_pc=start_pc,
+        next_pc=next_pc,
         live_ins=tuple(live_in.items()),
         live_outs=tuple(live_out.items()),
     )
@@ -210,27 +263,18 @@ def maximal_reusable_spans(
     the resulting spans upper-bound what any trace-reuse scheme can
     cover, using the minimum number of reuse operations.
 
-    Chunk streams (:mod:`repro.vm.tracestream`) are walked lazily:
-    only the rows of the flagged run under construction are buffered,
-    so memory is O(longest span), not O(stream).
+    Columnar traces and chunk streams (:mod:`repro.vm.tracestream`)
+    share one column walk, segment by segment, so a stream's memory is
+    O(chunk), not O(stream).
     """
     from repro.vm.tracestream import is_chunk_stream
 
     if is_chunk_stream(trace):
-        return _stream_maximal_spans(trace, flags)
+        return _columnar_spans(trace.chunks(), flags)
     if isinstance(trace, ColumnarTrace):
-        n = len(trace)
-
-        def make_span(a: int, b: int) -> TraceSpan:
-            return _span_from_columnar(trace, a, b)
-
-    else:
-        instructions = stream_of(trace)
-        n = len(instructions)
-
-        def make_span(a: int, b: int) -> TraceSpan:
-            return span_from_range(instructions, a, b)
-
+        return _columnar_spans([trace], flags)
+    instructions = stream_of(trace)
+    n = len(instructions)
     if len(flags) != n:
         raise ValueError("flags must align with the instruction stream")
     spans: list[TraceSpan] = []
@@ -239,57 +283,10 @@ def maximal_reusable_spans(
         if flag and start is None:
             start = i
         elif not flag and start is not None:
-            spans.append(make_span(start, i))
+            spans.append(span_from_range(instructions, start, i))
             start = None
     if start is not None:
-        spans.append(make_span(start, n))
-    return spans
-
-
-def _stream_maximal_spans(
-    stream, flags: Sequence[bool]
-) -> list[TraceSpan]:
-    """:func:`maximal_reusable_spans` over a chunk stream.
-
-    The liveness construction matches :func:`compute_liveness` (same
-    dict-insertion order), so the spans equal the materialized ones
-    field for field.
-    """
-    from repro.vm.tracestream import iter_insts
-
-    flag_count = len(flags)
-    spans: list[TraceSpan] = []
-    body: list[DynInst] = []
-    start: int | None = None
-
-    def close(stop: int) -> None:
-        live_ins, live_outs = compute_liveness(body)
-        spans.append(TraceSpan(
-            start=start,
-            stop=stop,
-            start_pc=body[0].pc,
-            next_pc=body[-1].next_pc,
-            live_ins=live_ins,
-            live_outs=live_outs,
-        ))
-        body.clear()
-
-    i = 0
-    for inst in iter_insts(stream):
-        if i >= flag_count:
-            raise ValueError("flags must align with the instruction stream")
-        if flags[i]:
-            if start is None:
-                start = i
-            body.append(inst)
-        elif start is not None:
-            close(i)
-            start = None
-        i += 1
-    if i != flag_count:
-        raise ValueError("flags must align with the instruction stream")
-    if start is not None:
-        close(i)
+        spans.append(span_from_range(instructions, start, n))
     return spans
 
 

@@ -25,12 +25,9 @@ dependence analysis (section 4):
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.obs import profiling_enabled
-from repro.obs.telemetry import current as _telemetry
 from repro.vm.trace import AnyTrace, DynInst
 
 
@@ -213,13 +210,10 @@ class DataflowModel:
         )
 
 
-# ----------------------------------------------------------------------
-# fused multi-scenario engine
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """One timing scenario for the fused engine.
+    """One timing scenario for
+    :class:`~repro.dataflow.streaming.StreamingDataflowEngine`.
 
     ``kind`` selects the reuse plan family:
 
@@ -247,625 +241,3 @@ class Scenario:
             raise ValueError("window_size must be positive or None")
         if self.k is not None and self.kind != "tlr":
             raise ValueError("proportional latency only applies to tlr")
-
-
-class FusedDataflowEngine:
-    """Evaluates many reuse scenarios over one stream without re-deriving
-    its dependence structure per scenario.
-
-    A single precompute scan resolves every read to the *index* of its
-    producing instruction (the last earlier writer of that location)
-    and every trace span to the producer indices of its live-ins as of
-    span entry.  Each scenario then reduces to a tight loop over a
-    per-scenario completion-time list ``comp`` — ``ready[loc]`` dict
-    probes become list indexing, and reuse plans never materialise as
-    per-instruction ``ReusePoint`` lists.
-
-    Results are exactly (bit-for-bit) equal to running
-    :meth:`DataflowModel.analyze` once per scenario with the plans
-    from :func:`repro.baselines.ilr.ilr_reuse_plan` /
-    :func:`repro.core.reuse_tlr.tlr_reuse_plan`: the same max/add/min
-    float operations run in the same order.
-
-    Parameters
-    ----------
-    trace:
-        The dynamic stream (either trace layout or a record sequence).
-    flags:
-        Per-instruction reusability flags (needed for ``"ilr"``
-        scenarios).
-    spans:
-        Non-overlapping reusable spans (needed for ``"tlr"``
-        scenarios).
-    """
-
-    def __init__(self, trace, *, flags=None, spans=None):
-        from repro.vm.trace import as_columnar
-
-        #: per-scenario profiling records when ``REPRO_PROFILE=1``
-        #: (:func:`repro.obs.profiling_enabled` is sampled at engine
-        #: construction); ``None`` keeps the hot path branch-free-ish.
-        self.profile_records: list[dict] | None = (
-            [] if profiling_enabled() else None
-        )
-        ct = as_columnar(trace)
-        n = len(ct)
-        self.n = n
-        self.lats = ct.lats
-        self.flags = flags
-        if flags is not None and len(flags) != n:
-            raise ValueError("flags must align with the instruction stream")
-
-        # producer indices: prods[j] resolves j's read locations to the
-        # indices of their last writers (never-written reads drop out —
-        # they contribute 0.0 to every max, as ready.get() misses do).
-        # The representation is shaped for the hot passes: a bare int
-        # for one producer, a pair tuple for exactly two (unrolled at
-        # use sites), None for none, and a deduplicated list for the
-        # rare three-plus case.
-        writer: dict[int, int] = {}
-        prods: list[int | tuple[int, int] | list[int] | None] = []
-        rb, rl = ct.read_bounds, ct.read_locs
-        wb, wl = ct.write_bounds, ct.write_locs
-        writer_get = writer.get
-
-        # span bookkeeping: ordinal per covered instruction, and the
-        # producers of each span's live-ins *as of span entry* (before
-        # any intra-span write), which is when DataflowModel.analyze
-        # evaluates the shared gate
-        spans_sorted = sorted(spans, key=lambda s: s.start) if spans else []
-        self.spans = spans_sorted
-        span_ids = [-1] * n
-        last_stop = 0
-        for s_idx, span in enumerate(spans_sorted):
-            if span.start < last_stop:
-                raise ValueError("spans overlap")
-            if span.stop > n:
-                raise ValueError("span extends past the end of the stream")
-            last_stop = span.stop
-            span_ids[span.start : span.stop] = [s_idx] * (span.stop - span.start)
-        self.span_ids = span_ids
-        #: total instructions covered by spans (== reused count of any
-        #: fetch-free TLR scenario, which reuses every span instruction)
-        self.span_covered = sum(s.stop - s.start for s in spans_sorted)
-        span_gate_prods: list[tuple[int, ...]] = [()] * len(spans_sorted)
-
-        prods_append = prods.append
-        next_sid = 0
-        next_start = spans_sorted[0].start if spans_sorted else -1
-        a = rb[0]
-        wa = wb[0]
-        for j in range(n):
-            if j == next_start:
-                gp: list[int] = []
-                for loc in spans_sorted[next_sid].input_locations():
-                    p = writer_get(loc)
-                    if p is not None and p not in gp:
-                        gp.append(p)
-                span_gate_prods[next_sid] = tuple(gp)
-                next_sid += 1
-                next_start = (
-                    spans_sorted[next_sid].start
-                    if next_sid < len(spans_sorted)
-                    else -1
-                )
-            b = rb[j + 1]
-            if b - a == 1:
-                prods_append(writer_get(rl[a]))
-            elif b - a == 2:
-                p1 = writer_get(rl[a])
-                p2 = writer_get(rl[a + 1])
-                if p1 is None:
-                    prods_append(p2)
-                elif p2 is None or p2 == p1:
-                    prods_append(p1)
-                else:
-                    prods_append((p1, p2))
-            elif a == b:
-                prods_append(None)
-            else:
-                ps: list[int] = []
-                for idx in range(a, b):
-                    p = writer_get(rl[idx])
-                    if p is not None and p not in ps:
-                        ps.append(p)
-                if len(ps) == 1:
-                    prods_append(ps[0])
-                elif len(ps) == 2:
-                    prods_append((ps[0], ps[1]))
-                elif ps:
-                    prods_append(ps)
-                else:
-                    prods_append(None)
-            a = b
-            wb1 = wb[j + 1]
-            while wa < wb1:
-                writer[wl[wa]] = j
-                wa += 1
-        self.prods = prods
-        self.span_gate_prods = span_gate_prods
-
-    # ------------------------------------------------------------------
-    def _span_latencies(self, scenario: Scenario) -> list[float]:
-        if scenario.k is not None:
-            k = scenario.k
-            return [k * (s.input_count + s.output_count) for s in self.spans]
-        return [scenario.latency] * len(self.spans)
-
-    def analyze(self, scenario: Scenario) -> TimingResult:
-        """Evaluate one scenario (see :meth:`analyze_all` for many).
-
-        With ``REPRO_PROFILE=1`` (checked at engine construction) each
-        call appends a record to :attr:`profile_records` — scenario
-        descriptor, wall seconds, and instruction throughput — and
-        folds the timing into the current telemetry registry under
-        ``engine.<kind>``.
-        """
-        if self.profile_records is None:
-            return self._dispatch(scenario)
-        t0 = time.perf_counter()
-        result = self._dispatch(scenario)
-        seconds = time.perf_counter() - t0
-        self.profile_records.append({
-            "kind": scenario.kind,
-            "window_size": scenario.window_size,
-            "latency": scenario.latency if scenario.k is None else None,
-            "k": scenario.k,
-            "seconds": seconds,
-            "instructions": self.n,
-            "instructions_per_second": self.n / seconds if seconds > 0 else 0.0,
-        })
-        registry = _telemetry()
-        registry.add_time(f"engine.{scenario.kind}", seconds)
-        registry.incr("engine.instructions_analyzed", self.n)
-        return result
-
-    def _dispatch(self, scenario: Scenario) -> TimingResult:
-        if scenario.kind == "base":
-            return self._pass_base(scenario.window_size)
-        if scenario.kind == "ilr":
-            if self.flags is None:
-                raise ValueError("ilr scenarios need reusability flags")
-            return self._pass_ilr(scenario.window_size, scenario.latency)
-        return self._pass_tlr(
-            scenario.window_size,
-            self._span_latencies(scenario),
-            scenario.fetch_free,
-        )
-
-    def analyze_all(self, scenarios: Sequence[Scenario]) -> list[TimingResult]:
-        """Evaluate every scenario; order matches the input."""
-        return [self.analyze(s) for s in scenarios]
-
-    # ------------------------------------------------------------------
-    # scenario passes (each a tight loop over producer indices)
-    # ------------------------------------------------------------------
-    # The passes below trade a little repetition for speed: completions
-    # append to a growing list (producers always point backwards), the
-    # stream maximum is taken once at the end with the C-level max(),
-    # and the window gate exploits the ring identity
-    # ``(fetched - W) % W == fetched % W`` — the gate entry is exactly
-    # the slot the current graduation time is about to overwrite.
-
-    def _pass_base(self, window: int | None) -> TimingResult:
-        n = self.n
-        prods = self.prods
-        lats = self.lats
-        comp: list[float] = []
-        append = comp.append
-        if not window or n <= window:
-            # a never-filled window gates nothing: identical to infinite
-            for p, lat in zip(prods, lats):
-                if type(p) is int:
-                    append(comp[p] + lat)
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                    append(s + lat)
-                elif p is None:
-                    append(0.0 + lat)
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                    append(s + lat)
-        else:
-            # fill phase (no gate yet), then steady state with the ring
-            # index carried incrementally instead of j % window
-            ring: list[float] = []
-            rappend = ring.append
-            grad = 0.0
-            for p, lat in zip(prods[:window], lats[:window]):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if c > grad:
-                    grad = c
-                rappend(grad)
-                append(c)
-            idx = 0
-            for p, lat in zip(prods[window:], lats[window:]):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                gate = ring[idx]
-                if gate > s:
-                    s = gate
-                c = s + lat
-                if c > grad:
-                    grad = c
-                ring[idx] = grad
-                idx += 1
-                if idx == window:
-                    idx = 0
-                append(c)
-        return TimingResult(
-            instruction_count=n,
-            total_cycles=max(max(comp), 1.0) if n else 0.0,
-            window_size=window,
-        )
-
-    def _pass_ilr(self, window: int | None, latency: float) -> TimingResult:
-        n = self.n
-        comp: list[float] = []
-        append = comp.append
-        reused = 0
-        prods = self.prods
-        lats = self.lats
-        flags = self.flags
-        if not window or n <= window:
-            # infinite window (or one that never fills): reuse start ==
-            # normal start, so a flagged instruction completes at
-            # start + min(latency, own latency)
-            for p, lat, flag in zip(prods, lats, flags):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if flag:
-                    rc = s + latency
-                    if rc < c:
-                        c = rc
-                        reused += 1
-                append(c)
-        else:
-            # fill phase (no gate), then steady state; the reuse start
-            # is taken *before* the window gate in both
-            ring: list[float] = []
-            rappend = ring.append
-            grad = 0.0
-            for p, lat, flag in zip(prods[:window], lats[:window], flags[:window]):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if flag:
-                    rc = s + latency
-                    if rc < c:
-                        c = rc
-                        reused += 1
-                if c > grad:
-                    grad = c
-                rappend(grad)
-                append(c)
-            idx = 0
-            for p, lat, flag in zip(prods[window:], lats[window:], flags[window:]):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                if flag:
-                    rc = s + latency
-                    gate = ring[idx]
-                    if gate > s:
-                        s = gate
-                    c = s + lat
-                    if rc < c:
-                        c = rc
-                        reused += 1
-                else:
-                    gate = ring[idx]
-                    if gate > s:
-                        s = gate
-                    c = s + lat
-                if c > grad:
-                    grad = c
-                ring[idx] = grad
-                idx += 1
-                if idx == window:
-                    idx = 0
-                append(c)
-        return TimingResult(
-            instruction_count=n,
-            total_cycles=max(max(comp), 1.0) if n else 0.0,
-            window_size=window,
-            reused_count=reused,
-        )
-
-    def _pass_tlr(
-        self,
-        window: int | None,
-        span_lats: list[float],
-        fetch_free: bool,
-    ) -> TimingResult:
-        n = self.n
-        comp: list[float] = []
-        append = comp.append
-        gate_prods = self.span_gate_prods
-        prods = self.prods
-        lats = self.lats
-        span_ids = self.span_ids
-        reused = 0
-        cur_sid = -1
-        cur_reused = 0.0
-        if not window:
-            # infinite window: no ring, no graduation tracking needed
-            if fetch_free:
-                # every span instruction is reused by definition; the
-                # count is the precomputed span coverage
-                reused = self.span_covered
-                for p, lat, sid in zip(prods, lats, span_ids):
-                    if type(p) is int:
-                        s = comp[p]
-                    elif type(p) is tuple:
-                        s = comp[p[0]]
-                        t = comp[p[1]]
-                        if t > s:
-                            s = t
-                    elif p is None:
-                        s = 0.0
-                    else:
-                        s = 0.0
-                        for q in p:
-                            t = comp[q]
-                            if t > s:
-                                s = t
-                    c = s + lat
-                    if sid >= 0:
-                        if sid != cur_sid:
-                            g = 0.0
-                            for q in gate_prods[sid]:
-                                t = comp[q]
-                                if t > g:
-                                    g = t
-                            cur_sid = sid
-                            cur_reused = g + span_lats[sid]
-                        if cur_reused < c:
-                            c = cur_reused
-                    append(c)
-            else:
-                for p, lat, sid in zip(prods, lats, span_ids):
-                    if type(p) is int:
-                        s = comp[p]
-                    elif type(p) is tuple:
-                        s = comp[p[0]]
-                        t = comp[p[1]]
-                        if t > s:
-                            s = t
-                    elif p is None:
-                        s = 0.0
-                    else:
-                        s = 0.0
-                        for q in p:
-                            t = comp[q]
-                            if t > s:
-                                s = t
-                    c = s + lat
-                    if sid >= 0:
-                        if sid != cur_sid:
-                            g = 0.0
-                            for q in gate_prods[sid]:
-                                t = comp[q]
-                                if t > g:
-                                    g = t
-                            cur_sid = sid
-                            cur_reused = g + span_lats[sid]
-                        if cur_reused < c:
-                            c = cur_reused
-                            reused += 1
-                    append(c)
-        elif fetch_free:
-            # the ring fills by append; ``room`` counts empty slots and
-            # ``idx`` is the gate/overwrite slot, carried incrementally.
-            # Fetch-free span instructions consume no slot (the fetch
-            # ordinal is decoupled from the stream index) and are all
-            # reused by definition.
-            reused = self.span_covered
-            grad = 0.0
-            ring = []
-            rappend = ring.append
-            room = window
-            idx = 0
-            for p, lat, sid in zip(prods, lats, span_ids):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                if sid < 0:
-                    if room:
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        rappend(grad)
-                        room -= 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        ring[idx] = grad
-                        idx += 1
-                        if idx == window:
-                            idx = 0
-                else:
-                    if sid != cur_sid:
-                        g = 0.0
-                        for q in gate_prods[sid]:
-                            t = comp[q]
-                            if t > g:
-                                g = t
-                        cur_sid = sid
-                        cur_reused = g + span_lats[sid]
-                    # no window gate, no ring slot
-                    c = s + lat
-                    if cur_reused < c:
-                        c = cur_reused
-                    if c > grad:
-                        grad = c
-                append(c)
-        else:
-            grad = 0.0
-            ring = []
-            rappend = ring.append
-            room = window
-            idx = 0
-            for p, lat, sid in zip(prods, lats, span_ids):
-                if type(p) is int:
-                    s = comp[p]
-                elif type(p) is tuple:
-                    s = comp[p[0]]
-                    t = comp[p[1]]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q]
-                        if t > s:
-                            s = t
-                if sid >= 0:
-                    if sid != cur_sid:
-                        g = 0.0
-                        for q in gate_prods[sid]:
-                            t = comp[q]
-                            if t > g:
-                                g = t
-                        cur_sid = sid
-                        cur_reused = g + span_lats[sid]
-                    if room:
-                        c = s + lat
-                        if cur_reused < c:
-                            c = cur_reused
-                            reused += 1
-                        if c > grad:
-                            grad = c
-                        rappend(grad)
-                        room -= 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if cur_reused < c:
-                            c = cur_reused
-                            reused += 1
-                        if c > grad:
-                            grad = c
-                        ring[idx] = grad
-                        idx += 1
-                        if idx == window:
-                            idx = 0
-                else:
-                    if room:
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        rappend(grad)
-                        room -= 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        ring[idx] = grad
-                        idx += 1
-                        if idx == window:
-                            idx = 0
-                append(c)
-        return TimingResult(
-            instruction_count=n,
-            total_cycles=max(max(comp), 1.0) if n else 0.0,
-            window_size=window,
-            reused_count=reused,
-        )

@@ -1,76 +1,83 @@
-"""One-pass streaming dataflow analysis over chunked trace streams.
+"""One-pass dataflow analysis over chunked trace streams.
 
-:class:`StreamingDataflowEngine` is the stream-consuming counterpart
-of :class:`repro.dataflow.model.FusedDataflowEngine`.  It drains a
-chunk stream (see :mod:`repro.vm.tracestream`) exactly once and
-evaluates every timing scenario *plus* the reusability summary, the
-maximal-span statistics and the section-4.5 I/O stats — everything
+:class:`StreamingDataflowEngine` drains a chunk stream (see
+:mod:`repro.vm.tracestream`) exactly once and evaluates every timing
+scenario *plus* the reusability summary, the maximal-span statistics
+and the section-4.5 I/O stats — everything
 :func:`repro.exp.runner.run_profile` needs — while holding O(block)
 memory instead of the whole trace.
 
-Bit-identity with the materialized pipeline
--------------------------------------------
-The fused engine resolves every read to the index of its last writer
-and evaluates each scenario as a fold over a completion-time list.
-The streaming engine reproduces the same float operations in the same
-order by cutting the stream into **blocks** and carrying three pieces
-of state across block boundaries:
+Bit-identity with the per-scenario oracle
+-----------------------------------------
+:meth:`DataflowModel.analyze` keeps a ``ready`` table keyed by
+location.  The engine instead resolves every read to the *index* of
+its producing instruction once, shared by all scenarios, and evaluates
+each scenario as a fold over a completion-time list ``comp`` — the
+same max/add/min float operations in the same order, so the results
+are equal bit for bit.
 
-- the completion time of the last writer of each location as of
-  block start.  In-block producer references stay list indices; a
-  read whose producer lies in an earlier block is encoded as
-  ``~slot``, where the engine-wide slot table interns each location
-  the first time it crosses a block boundary, and resolved as a flat
-  ``vals[slot]`` list index per scenario (a never-written slot holds
-  ``0.0``, exactly as a never-written location does in the fused
-  engine).  The slot indirection makes the cross-block resolution a
-  list index instead of a dict probe, and lets the block-end state
-  update — shared ``(slot, producer)`` pairs computed once — replace
-  the per-scenario dict stores of a naive carry table.
+The stream is cut into **blocks** of at most :data:`BLOCK_CAP`
+instructions.  Within a block, producer references are indices into
+``comp``: its first ``m`` entries are seeded, per scenario, with the
+carried ready time of each distinct location the block reads, and
+instruction ``j``'s completion is appended as ``comp[m + j]``.  A read
+whose producer lies in an earlier block refers to its location's
+seed, so the folds never test where a producer lives.  Three pieces
+of state cross block boundaries:
+
+- the completion time of the last writer of each location, per
+  scenario, in a ``ready`` dict (a never-written location reads as
+  ``0.0``, exactly as a ``ready`` miss does in the oracle), updated at
+  block end from the block's last writers;
 - the window ring (``ring``/``room``/``idx``/``grad``) of each
-  windowed scenario, carried verbatim.
+  windowed scenario, carried verbatim;
 - the instruction-level reuse history (``pc -> input signatures``),
   so per-chunk reusability flags equal the whole-trace flags.
 
-Blocks are cut *after the last non-reusable instruction* of each
-chunk, so every maximal reusable span — a trace candidate — lies
-wholly inside one block.  That is load-bearing twice over: the span's
-live-in gate must be evaluated at span entry over the span's *full*
-live-in set (which is only known once the span is complete), and the
-per-span latency depends on its total I/O counts.  Memory is therefore
-O(max(chunk, longest reusable span)); a pathological fully-reusable
-stream degrades to one block (the same stream would also defeat the
-paper's trace-collection limits).
+Every block ends *after a non-reusable instruction*, so every maximal
+reusable span — a trace candidate — lies wholly inside one block.
+That is load-bearing twice over: the span's live-in gate must be
+evaluated at span entry over the span's *full* live-in set, and the
+per-span latency depends on its total I/O counts.  A reusable run
+longer than the cap stretches its block to the run's end (the same
+stream would also defeat the paper's trace-collection limits).
 
-The fill-phase shortcut of the fused engine (``n <= window`` skips
-gating) needs no counterpart here: the generic ``room`` counter path
-computes identical values, because the gate only engages once more
-than ``window`` fetchable instructions have been seen.
+The window fill phase (fewer than ``window`` fetched instructions, so
+no gate yet) runs through one generic loop; once the window is full
+each scenario kind runs a tight steady-state loop with no fill,
+fetch-free or running-maximum tests inside it.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
-import numpy as np
-
+from repro.baselines.ilr import reusability_flags
 from repro.core.stats import TraceIOStats
-from repro.core.traces import _span_from_columnar
+from repro.core.traces import _fold_liveness
 from repro.dataflow.model import Scenario, TimingResult
 from repro.isa.registers import MEM_LOC_BASE
+from repro.obs.telemetry import current as _telemetry
 from repro.vm.trace import ColumnarTrace, extend_columnar, slice_columnar
 from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, as_chunk_stream
+
+#: Largest block analysed at once.  Bounds the shared precompute that
+#: sits on top of the reuse history; it is internal to the engine, so
+#: how streams and trace files are chunked is unaffected.
+BLOCK_CAP = 8192
 
 
 @dataclass(frozen=True, slots=True)
 class StreamReusability:
     """Instruction-level reusability summary of a drained stream.
 
-    The streaming engine never materialises the per-instruction flag
-    list, so this carries the counts only; the rates are computed with
-    the same integer operands as
-    :class:`repro.baselines.ilr.ReusabilityResult`, hence bit-equal.
+    The engine never materialises the per-instruction flag list, so
+    this carries the counts only; the rates are computed with the same
+    integer operands as :class:`repro.baselines.ilr.ReusabilityResult`,
+    hence bit-equal.
     """
 
     reusable_count: int
@@ -90,30 +97,30 @@ class _ScenarioState:
     """Per-scenario fold state carried across blocks."""
 
     __slots__ = (
-        "scenario", "window", "vals", "ring", "room", "idx", "grad",
-        "best", "reused",
+        "scenario", "window", "ready", "ring", "room", "idx", "grad",
+        "best", "reused", "seconds",
     )
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.window = scenario.window_size
-        #: completion time per engine slot (grown lazily; slot order is
-        #: engine-wide, so every scenario's list lines up)
-        self.vals: list[float] = []
+        #: completion time of each location's last writer so far (a
+        #: never-written location reads as 0.0)
+        self.ready: dict[int, float] = {}
         self.ring: list[float] = []
         self.room = self.window or 0
         self.idx = 0
         self.grad = 0.0
         self.best = 0.0
         self.reused = 0
+        self.seconds = 0.0
 
 
 class _Block:
     """Shared (scenario-independent) precompute over one block."""
 
     __slots__ = (
-        "n", "lats", "flags", "prods", "span_ids", "gate_refs",
-        "span_io",
+        "n", "lats", "flags", "prods", "span_ids", "gate_refs", "span_io",
     )
 
 
@@ -133,15 +140,14 @@ class StreamingDataflowEngine:
     ``n``, ``reuse`` (:class:`StreamReusability`), ``span_count``,
     ``span_covered``, ``avg_span_length`` and ``io_stats``
     (:class:`repro.core.stats.TraceIOStats`) — each bit-identical to
-    its materialized counterpart.
+    its materialized counterpart.  Each scenario's fold time goes to
+    the current telemetry registry as an ``engine.<kind>`` timer, and
+    the analysed instructions to ``engine.instructions_analyzed``.
     """
 
     def __init__(self, traceish, *,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         self._stream = as_chunk_stream(traceish, chunk_size=chunk_size)
-        #: location -> slot interning table for cross-block producer
-        #: references (shared by every scenario's ``vals`` list)
-        self._slots: dict[int, int] = {}
         self.n = 0
         self.reuse: StreamReusability | None = None
         self.span_count = 0
@@ -160,7 +166,6 @@ class StreamingDataflowEngine:
         """Evaluate every scenario in one pass; order matches the input."""
         states = [_ScenarioState(s) for s in scenarios]
         # reset accumulators (the stream is re-iterable, so is this)
-        self._slots = {}
         self.n = 0
         self.span_count = 0
         self.span_covered = 0
@@ -168,88 +173,65 @@ class StreamingDataflowEngine:
         self._span_out = self._span_reg_out = 0
 
         history: dict[int, set] = {}
-        history_get = history.get
         reusable = 0
-        signature_count = 0
-
-        buf: ColumnarTrace | None = None
-        bflags = bytearray()
+        # an all-reusable tail whose span may continue into the next chunk
+        tail: ColumnarTrace | None = None
+        tail_flags = bytearray()
 
         for chunk in self._stream.chunks():
             nc = len(chunk)
             if not nc:
                 continue
-            # incremental instruction-level reusability: same signature
-            # construction as _columnar_reusability, history persistent.
-            # Deliberately scalar: Python set membership treats 1 and
-            # 1.0 as the same signature, which any bit-level batch
-            # encoding of the value columns would split.
-            cflags = bytearray(nc)
-            pcs = chunk.pcs
-            rb, rl, rv = chunk.read_bounds, chunk.read_locs, chunk.read_vals
-            a = 0
-            for i, pc in enumerate(pcs):
-                b = rb[i + 1]
-                seen = history_get(pc)
-                if seen is None:
-                    seen = set()
-                    history[pc] = seen
-                sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-                if sig in seen:
-                    cflags[i] = 1
-                    reusable += 1
-                else:
-                    seen.add(sig)
-                    signature_count += 1
-                a = b
+            flags = reusability_flags(chunk, history)
+            reusable += flags.count(1)
             self.n += nc
+            start = 0
+            if tail is not None:
+                first = flags.find(0)
+                if first < 0:
+                    extend_columnar(tail, chunk)
+                    tail_flags += flags
+                    continue
+                start = first + 1
+                extend_columnar(tail, slice_columnar(chunk, 0, start))
+                tail_flags += flags[:start]
+                self._process_block(tail, 0, len(tail), tail_flags, states)
+                tail = None
+            while start < nc:
+                # cut after the last non-reusable instruction within the
+                # cap, or after the first one past a run longer than it
+                cut = flags.rfind(0, start, start + BLOCK_CAP)
+                if cut < 0:
+                    cut = flags.find(0, start + BLOCK_CAP)
+                    if cut < 0:
+                        break
+                self._process_block(chunk, start, cut + 1, flags, states)
+                start = cut + 1
+            if start < nc:
+                # fresh copies: safe to keep extending in place
+                tail = slice_columnar(chunk, start, nc)
+                tail_flags = flags[start:]
 
-            if buf is None:
-                cur: ColumnarTrace = chunk
-                curflags = cflags
-            else:
-                extend_columnar(buf, chunk)
-                bflags += cflags
-                cur = buf
-                curflags = bflags
-            lz = curflags.rfind(0)
-            if lz == -1:
-                # wholly reusable so far: the open span may continue
-                # into the next chunk — keep buffering
-                if cur is chunk:
-                    buf = ColumnarTrace()
-                    extend_columnar(buf, chunk)
-                    bflags = bytearray(cflags)
-                continue
-            cut = lz + 1
-            if cut == len(cur):
-                block, fblock = cur, curflags
-                buf = None
-                bflags = bytearray()
-            else:
-                block = slice_columnar(cur, 0, cut)
-                fblock = curflags[:cut]
-                # the remainder's arrays are fresh copies: safe to keep
-                # extending in place
-                buf = slice_columnar(cur, cut, len(cur))
-                bflags = bytearray(curflags[cut:])
-            self._process_block(block, fblock, states)
-
-        if buf is not None and len(buf):
-            self._process_block(buf, bflags, states)
+        if tail is not None:
+            self._process_block(tail, 0, len(tail), tail_flags, states)
 
         self.reuse = StreamReusability(
             reusable_count=reusable,
             total_count=self.n,
             static_count=len(history),
-            signature_count=signature_count,
+            # every non-reusable instance records one new signature
+            signature_count=self.n - reusable,
         )
         self._finalize_span_stats()
         n = self.n
+        registry = _telemetry()
         results = []
         for st in states:
             sc = st.scenario
+            registry.add_time(f"engine.{sc.kind}", st.seconds)
+            registry.incr("engine.instructions_analyzed", n)
             if sc.kind == "tlr" and sc.fetch_free:
+                # every span instruction is reused by definition
                 reused = self.span_covered
             else:
                 reused = st.reused
@@ -289,98 +271,76 @@ class StreamingDataflowEngine:
         )
 
     # ------------------------------------------------------------------
-    def _process_block(self, block: ColumnarTrace, flags: bytearray,
-                       states: list[_ScenarioState]) -> None:
-        n = len(block)
-        # maximal reusable runs — wholly contained by construction;
-        # batch-extracted from the flag bytes (a zero-padded diff turns
-        # every 0->1 edge into a start and every 1->0 edge into an end)
-        bounded = np.zeros(n + 2, np.int8)
-        bounded[1:-1] = np.frombuffer(flags, np.uint8)
-        edges = np.diff(bounded)
-        runs = list(zip(np.flatnonzero(edges == 1).tolist(),
-                        np.flatnonzero(edges == -1).tolist()))
-
+    def _process_block(self, seg: ColumnarTrace, start: int, stop: int,
+                       flags: bytearray, states: list[_ScenarioState]) -> None:
+        """Precompute instructions ``[start, stop)`` of ``seg`` once, then
+        fold every scenario over them."""
+        n = stop - start
+        # maximal reusable runs (block-relative), wholly inside the block
+        runs: list[tuple[int, int]] = []
         span_inlocs: list[tuple[int, ...]] = []
         span_io: list[tuple[int, int]] = []
-        for a, b in runs:
-            span = _span_from_columnar(block, a, b)
-            span_inlocs.append(span.input_locations())
-            span_io.append((span.input_count, span.output_count))
-            self.span_count += 1
+        a = flags.find(1, start, stop)
+        while a >= 0:
+            b = flags.find(0, a, stop)
+            if b < 0:
+                b = stop
+            live_in: dict = {}
+            live_out: dict = {}
+            _fold_liveness(seg, a, b, live_in, live_out)
+            runs.append((a - start, b - start))
+            span_inlocs.append(tuple(live_in))
+            span_io.append((len(live_in), len(live_out)))
             self.span_covered += b - a
-            self._span_in += span.input_count
-            self._span_out += span.output_count
-            for loc, _value in span.live_ins:
-                if loc < MEM_LOC_BASE:
-                    self._span_reg_in += 1
-            for loc, _value in span.live_outs:
-                if loc < MEM_LOC_BASE:
-                    self._span_reg_out += 1
+            self._span_in += len(live_in)
+            self._span_out += len(live_out)
+            self._span_reg_in += sum(1 for loc in live_in if loc < MEM_LOC_BASE)
+            self._span_reg_out += sum(1 for loc in live_out if loc < MEM_LOC_BASE)
+            a = flags.find(1, b, stop)
+        self.span_count += len(runs)
 
-        # producer references: in-block producers are list indices,
-        # earlier-block producers are encoded as ~slot (the engine-wide
-        # interning of the location) and resolved as a flat list index
-        # per scenario (same shapes as the fused engine: bare ref, pair
-        # tuple, None, dedup'd list)
-        slots = self._slots
-        writer: dict[int, int] = {}
-        writer_get = writer.get
+        # comp[0:m] is seeded per scenario with the carried ready time
+        # of each distinct location the block reads; instruction j's
+        # completion is comp[m + j].  ``writer`` starts out pointing at
+        # the seeds, so every read resolves with one dict probe.
+        rb, rl = seg.read_bounds, seg.read_locs
+        wb, wl = seg.write_bounds, seg.write_locs
+        seeds = list(dict.fromkeys(rl[rb[start]:rb[stop]]))
+        m = len(seeds)
+        writer = dict(zip(seeds, range(m)))
+        # producer references, shaped for the folds: a bare index for
+        # one producer, a pair tuple for exactly two, None for none and
+        # a deduplicated list for the rare three-plus case
         prods: list = []
         prods_append = prods.append
-        rb, rl = block.read_bounds, block.read_locs
-        wb, wl = block.write_bounds, block.write_locs
         span_ids = [-1] * n
         gate_refs: list[tuple[int, ...]] = []
+        # comp index at which the next span starts (-1: no more spans)
         next_sid = 0
-        next_start = runs[0][0] if runs else -1
-        a = rb[0]
-        wa = wb[0]
-        for j in range(n):
+        next_start = m + runs[0][0] if runs else -1
+        a = rb[start]
+        wa = wb[start]
+        for j, b, wb1 in zip(range(m, m + n), rb[start + 1:stop + 1],
+                             wb[start + 1:stop + 1]):
             if j == next_start:
+                # the span's live-in producers as of span entry
                 a2, b2 = runs[next_sid]
                 span_ids[a2:b2] = [next_sid] * (b2 - a2)
-                gp: list[int] = []
-                for loc in span_inlocs[next_sid]:
-                    p = writer_get(loc)
-                    if p is None:
-                        p = ~slots.setdefault(loc, len(slots))
-                    if p not in gp:
-                        gp.append(p)
-                gate_refs.append(tuple(gp))
+                gate_refs.append(tuple(dict.fromkeys(
+                    writer[loc] for loc in span_inlocs[next_sid])))
                 next_sid += 1
-                next_start = runs[next_sid][0] if next_sid < len(runs) else -1
-            b = rb[j + 1]
+                next_start = (m + runs[next_sid][0] if next_sid < len(runs)
+                              else -1)
             if b - a == 1:
-                loc1 = rl[a]
-                p = writer_get(loc1)
-                if p is None:
-                    p = ~slots.setdefault(loc1, len(slots))
-                prods_append(p)
+                prods_append(writer[rl[a]])
             elif b - a == 2:
-                loc1 = rl[a]
-                loc2 = rl[a + 1]
-                p1 = writer_get(loc1)
-                if p1 is None:
-                    p1 = ~slots.setdefault(loc1, len(slots))
-                p2 = writer_get(loc2)
-                if p2 is None:
-                    p2 = ~slots.setdefault(loc2, len(slots))
-                if p1 == p2:
-                    prods_append(p1)
-                else:
-                    prods_append((p1, p2))
+                p1 = writer[rl[a]]
+                p2 = writer[rl[a + 1]]
+                prods_append(p1 if p1 == p2 else (p1, p2))
             elif a == b:
                 prods_append(None)
             else:
-                ps: list[int] = []
-                for idx in range(a, b):
-                    loc = rl[idx]
-                    p = writer_get(loc)
-                    if p is None:
-                        p = ~slots.setdefault(loc, len(slots))
-                    if p not in ps:
-                        ps.append(p)
+                ps = list(dict.fromkeys(writer[loc] for loc in rl[a:b]))
                 if len(ps) == 1:
                     prods_append(ps[0])
                 elif len(ps) == 2:
@@ -388,372 +348,416 @@ class StreamingDataflowEngine:
                 else:
                     prods_append(ps)
             a = b
-            wb1 = wb[j + 1]
             while wa < wb1:
                 writer[wl[wa]] = j
                 wa += 1
 
         pre = _Block()
         pre.n = n
-        pre.lats = block.lats
-        pre.flags = flags
+        pre.lats = seg.lats[start:stop]
+        pre.flags = flags[start:stop]
         pre.prods = prods
         pre.span_ids = span_ids
         pre.gate_refs = gate_refs
         pre.span_io = span_io
+        # block-end state, shared by every scenario: each location
+        # written in the block -> the comp index of its last writer
+        written = {loc: j for loc, j in writer.items() if j >= m}
+        written_refs = list(written.values())
+        zeros = repeat(0.0)
 
-        # block-end state update, computed once and shared by every
-        # scenario: intern each written location and pair its slot with
-        # the in-block index of its last writer
-        slot_updates = [
-            (slots.setdefault(loc, len(slots)), jj)
-            for loc, jj in writer.items()
-        ]
-        nslots = len(slots)
-
+        clock = time.perf_counter
         for st in states:
-            vals = st.vals
-            if len(vals) < nslots:
-                # new slots start at 0.0 — the never-written default
-                vals.extend([0.0] * (nslots - len(vals)))
+            t0 = clock()
+            ready = st.ready
+            comp = list(map(ready.get, seeds, zeros))
             kind = st.scenario.kind
             if kind == "base":
-                comp = self._fold_base(st, pre)
+                _fold_base(st, pre, comp)
             elif kind == "ilr":
-                comp = self._fold_ilr(st, pre)
+                _fold_ilr(st, pre, comp)
             else:
-                comp = self._fold_tlr(st, pre)
-            for slot, jj in slot_updates:
-                vals[slot] = comp[jj]
+                _fold_tlr(st, pre, comp)
+            # the seeds are earlier completions (or 0.0), never above
+            # the running best, so the whole-list max is exact
+            best = max(comp)
+            if best > st.best:
+                st.best = best
+            ready.update(zip(written, map(comp.__getitem__, written_refs)))
+            st.seconds += clock() - t0
 
-    # ------------------------------------------------------------------
-    # scenario folds — each mirrors the corresponding fused-engine pass
-    # branch for branch; ``s`` resolution additionally routes negative
-    # refs through the slot-indexed ``vals`` list
-    # ------------------------------------------------------------------
-    def _fold_base(self, st: _ScenarioState, pre: _Block) -> list[float]:
-        comp: list[float] = []
-        append = comp.append
-        vals = st.vals
-        window = st.window
-        best = st.best
-        if not window:
-            for p, lat in zip(pre.prods, pre.lats):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if c > best:
-                    best = c
-                append(c)
-        else:
-            ring = st.ring
-            rappend = ring.append
-            grad = st.grad
-            room = st.room
-            idx = st.idx
-            for p, lat in zip(pre.prods, pre.lats):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                if room:
-                    c = s + lat
-                    if c > grad:
-                        grad = c
-                    rappend(grad)
-                    room -= 1
-                else:
-                    gate = ring[idx]
-                    if gate > s:
-                        s = gate
-                    c = s + lat
-                    if c > grad:
-                        grad = c
-                    ring[idx] = grad
-                    idx += 1
-                    if idx == window:
-                        idx = 0
-                if c > best:
-                    best = c
-                append(c)
-            st.grad = grad
-            st.room = room
-            st.idx = idx
-        st.best = best
-        return comp
 
-    def _fold_ilr(self, st: _ScenarioState, pre: _Block) -> list[float]:
-        comp: list[float] = []
-        append = comp.append
-        vals = st.vals
-        window = st.window
-        latency = st.scenario.latency
-        best = st.best
-        reused = st.reused
-        if not window:
-            for p, lat, flag in zip(pre.prods, pre.lats, pre.flags):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if flag:
-                    rc = s + latency
-                    if rc < c:
-                        c = rc
+# ----------------------------------------------------------------------
+# scenario folds.  Each appends the block's completions to comp.  A
+# windowed scenario first runs _fill while its window has empty slots;
+# the steady-state loops after it exploit the ring identity
+# ``(fetched - W) % W == fetched % W``: the gate entry is exactly the
+# slot the current graduation time is about to overwrite.
+# ----------------------------------------------------------------------
+
+def _ready(comp: list[float], p) -> float:
+    """Latest completion among the producers ``p`` refers to."""
+    if p is None:
+        return 0.0
+    if type(p) is int:
+        return comp[p]
+    s = 0.0
+    for q in p:
+        t = comp[q]
+        if t > s:
+            s = t
+    return s
+
+
+def _span_lats(scenario: Scenario, pre: _Block) -> list[float]:
+    if scenario.k is not None:
+        k = scenario.k
+        return [k * (i + o) for i, o in pre.span_io]
+    return [scenario.latency] * len(pre.span_io)
+
+
+def _fill(st: _ScenarioState, pre: _Block, comp: list[float],
+          span_lats: list[float] | None) -> int:
+    """Fold leading instructions while the window still has empty
+    slots (no gate yet); returns how many instructions were folded.
+
+    Fetch-free span instructions take no slot, so the fill can end at
+    any point of the block; every scenario kind shares this loop.
+    """
+    sc = st.scenario
+    kind = sc.kind
+    latency = sc.latency
+    fetch_free = kind == "tlr" and sc.fetch_free
+    ring = st.ring
+    grad = st.grad
+    room = st.room
+    reused = st.reused
+    cur_sid = -1
+    cur_reused = 0.0
+    j = 0
+    n = pre.n
+    while room and j < n:
+        s = _ready(comp, pre.prods[j])
+        c = s + pre.lats[j]
+        takes_slot = True
+        if kind == "ilr":
+            if pre.flags[j]:
+                rc = s + latency
+                if rc < c:
+                    c = rc
+                    reused += 1
+        elif kind == "tlr":
+            sid = pre.span_ids[j]
+            if sid >= 0:
+                if sid != cur_sid:
+                    cur_sid = sid
+                    cur_reused = (_ready(comp, pre.gate_refs[sid])
+                                  + span_lats[sid])
+                if cur_reused < c:
+                    c = cur_reused
+                    if not fetch_free:
                         reused += 1
-                if c > best:
-                    best = c
-                append(c)
-        else:
-            ring = st.ring
-            rappend = ring.append
-            grad = st.grad
-            room = st.room
-            idx = st.idx
-            for p, lat, flag in zip(pre.prods, pre.lats, pre.flags):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
-                    if t > s:
-                        s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                if room:
-                    c = s + lat
-                    if flag:
-                        rc = s + latency
-                        if rc < c:
-                            c = rc
-                            reused += 1
-                    if c > grad:
-                        grad = c
-                    rappend(grad)
-                    room -= 1
-                else:
-                    # the reuse start is taken *before* the window gate
-                    if flag:
-                        rc = s + latency
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if rc < c:
-                            c = rc
-                            reused += 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                    if c > grad:
-                        grad = c
-                    ring[idx] = grad
-                    idx += 1
-                    if idx == window:
-                        idx = 0
-                if c > best:
-                    best = c
-                append(c)
-            st.grad = grad
-            st.room = room
-            st.idx = idx
-        st.best = best
-        st.reused = reused
-        return comp
+                takes_slot = not fetch_free
+        if c > grad:
+            grad = c
+        if takes_slot:
+            ring.append(grad)
+            room -= 1
+        comp.append(c)
+        j += 1
+    st.grad = grad
+    st.room = room
+    st.reused = reused
+    return j
 
-    def _fold_tlr(self, st: _ScenarioState, pre: _Block) -> list[float]:
-        scenario = st.scenario
-        if scenario.k is not None:
-            k = scenario.k
-            span_lats = [k * (i + o) for i, o in pre.span_io]
-        else:
-            span_lats = [scenario.latency] * len(pre.span_io)
-        comp: list[float] = []
-        append = comp.append
-        vals = st.vals
-        window = st.window
-        fetch_free = scenario.fetch_free
-        gate_refs = pre.gate_refs
-        span_ids = pre.span_ids
-        best = st.best
-        reused = st.reused
-        cur_sid = -1
-        cur_reused = 0.0
-        if not window:
-            for p, lat, sid in zip(pre.prods, pre.lats, span_ids):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
+
+def _fold_base(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
+    window = st.window
+    prods = pre.prods
+    lats = pre.lats
+    append = comp.append
+    if st.room:
+        j = _fill(st, pre, comp, None)
+        prods = prods[j:]
+        lats = lats[j:]
+    if not window:
+        for p, lat in zip(prods, lats):
+            if type(p) is int:
+                s = comp[p]
+            elif type(p) is tuple:
+                s = comp[p[0]]
+                t = comp[p[1]]
+                if t > s:
+                    s = t
+            elif p is None:
+                s = 0.0
+            else:
+                s = 0.0
+                for q in p:
+                    t = comp[q]
                     if t > s:
                         s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                c = s + lat
-                if sid >= 0:
-                    if sid != cur_sid:
-                        g = 0.0
-                        for q in gate_refs[sid]:
-                            t = comp[q] if q >= 0 else vals[~q]
-                            if t > g:
-                                g = t
-                        cur_sid = sid
-                        cur_reused = g + span_lats[sid]
-                    if cur_reused < c:
-                        c = cur_reused
-                        if not fetch_free:
-                            reused += 1
-                if c > best:
-                    best = c
-                append(c)
+            append(s + lat)
+        return
+    ring = st.ring
+    grad = st.grad
+    idx = st.idx
+    for p, lat in zip(prods, lats):
+        if type(p) is int:
+            s = comp[p]
+        elif type(p) is tuple:
+            s = comp[p[0]]
+            t = comp[p[1]]
+            if t > s:
+                s = t
+        elif p is None:
+            s = 0.0
         else:
-            ring = st.ring
-            rappend = ring.append
-            grad = st.grad
-            room = st.room
-            idx = st.idx
-            for p, lat, sid in zip(pre.prods, pre.lats, span_ids):
-                if type(p) is int:
-                    s = comp[p] if p >= 0 else vals[~p]
-                elif type(p) is tuple:
-                    q = p[0]
-                    s = comp[q] if q >= 0 else vals[~q]
-                    q = p[1]
-                    t = comp[q] if q >= 0 else vals[~q]
+            s = 0.0
+            for q in p:
+                t = comp[q]
+                if t > s:
+                    s = t
+        gate = ring[idx]
+        if gate > s:
+            s = gate
+        c = s + lat
+        if c > grad:
+            grad = c
+        ring[idx] = grad
+        idx += 1
+        if idx == window:
+            idx = 0
+        append(c)
+    st.grad = grad
+    st.idx = idx
+
+
+def _fold_ilr(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
+    window = st.window
+    latency = st.scenario.latency
+    prods = pre.prods
+    lats = pre.lats
+    flags = pre.flags
+    append = comp.append
+    if st.room:
+        j = _fill(st, pre, comp, None)
+        prods = prods[j:]
+        lats = lats[j:]
+        flags = flags[j:]
+    reused = st.reused
+    if not window:
+        # reuse start == normal start, so a flagged instruction
+        # completes at start + min(latency, own latency)
+        for p, lat, flag in zip(prods, lats, flags):
+            if type(p) is int:
+                s = comp[p]
+            elif type(p) is tuple:
+                s = comp[p[0]]
+                t = comp[p[1]]
+                if t > s:
+                    s = t
+            elif p is None:
+                s = 0.0
+            else:
+                s = 0.0
+                for q in p:
+                    t = comp[q]
                     if t > s:
                         s = t
-                elif p is None:
-                    s = 0.0
-                else:
-                    s = 0.0
-                    for q in p:
-                        t = comp[q] if q >= 0 else vals[~q]
-                        if t > s:
-                            s = t
-                if sid >= 0:
-                    if sid != cur_sid:
-                        g = 0.0
-                        for q in gate_refs[sid]:
-                            t = comp[q] if q >= 0 else vals[~q]
-                            if t > g:
-                                g = t
-                        cur_sid = sid
-                        cur_reused = g + span_lats[sid]
-                    if fetch_free:
-                        # no window gate, no ring slot
-                        c = s + lat
-                        if cur_reused < c:
-                            c = cur_reused
-                        if c > grad:
-                            grad = c
-                    elif room:
-                        c = s + lat
-                        if cur_reused < c:
-                            c = cur_reused
-                            reused += 1
-                        if c > grad:
-                            grad = c
-                        rappend(grad)
-                        room -= 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if cur_reused < c:
-                            c = cur_reused
-                            reused += 1
-                        if c > grad:
-                            grad = c
-                        ring[idx] = grad
-                        idx += 1
-                        if idx == window:
-                            idx = 0
-                else:
-                    if room:
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        rappend(grad)
-                        room -= 1
-                    else:
-                        gate = ring[idx]
-                        if gate > s:
-                            s = gate
-                        c = s + lat
-                        if c > grad:
-                            grad = c
-                        ring[idx] = grad
-                        idx += 1
-                        if idx == window:
-                            idx = 0
-                if c > best:
-                    best = c
-                append(c)
-            st.grad = grad
-            st.room = room
-            st.idx = idx
-        st.best = best
+            c = s + lat
+            if flag:
+                rc = s + latency
+                if rc < c:
+                    c = rc
+                    reused += 1
+            append(c)
         st.reused = reused
-        return comp
+        return
+    ring = st.ring
+    grad = st.grad
+    idx = st.idx
+    for p, lat, flag in zip(prods, lats, flags):
+        if type(p) is int:
+            s = comp[p]
+        elif type(p) is tuple:
+            s = comp[p[0]]
+            t = comp[p[1]]
+            if t > s:
+                s = t
+        elif p is None:
+            s = 0.0
+        else:
+            s = 0.0
+            for q in p:
+                t = comp[q]
+                if t > s:
+                    s = t
+        if flag:
+            # the reuse start is taken *before* the window gate
+            rc = s + latency
+            gate = ring[idx]
+            if gate > s:
+                s = gate
+            c = s + lat
+            if rc < c:
+                c = rc
+                reused += 1
+        else:
+            gate = ring[idx]
+            if gate > s:
+                s = gate
+            c = s + lat
+        if c > grad:
+            grad = c
+        ring[idx] = grad
+        idx += 1
+        if idx == window:
+            idx = 0
+        append(c)
+    st.grad = grad
+    st.idx = idx
+    st.reused = reused
+
+
+def _fold_tlr(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
+    window = st.window
+    span_lats = _span_lats(st.scenario, pre)
+    prods = pre.prods
+    lats = pre.lats
+    span_ids = pre.span_ids
+    gate_refs = pre.gate_refs
+    append = comp.append
+    if st.room:
+        j = _fill(st, pre, comp, span_lats)
+        prods = prods[j:]
+        lats = lats[j:]
+        span_ids = span_ids[j:]
+    reused = st.reused
+    cur_sid = -1
+    cur_reused = 0.0
+    if not window:
+        # fetch-free or not, nothing is gated: the scenarios differ only
+        # in the reuse count, which is the span coverage when fetch-free
+        for p, lat, sid in zip(prods, lats, span_ids):
+            if type(p) is int:
+                s = comp[p]
+            elif type(p) is tuple:
+                s = comp[p[0]]
+                t = comp[p[1]]
+                if t > s:
+                    s = t
+            elif p is None:
+                s = 0.0
+            else:
+                s = 0.0
+                for q in p:
+                    t = comp[q]
+                    if t > s:
+                        s = t
+            c = s + lat
+            if sid >= 0:
+                if sid != cur_sid:
+                    g = 0.0
+                    for q in gate_refs[sid]:
+                        t = comp[q]
+                        if t > g:
+                            g = t
+                    cur_sid = sid
+                    cur_reused = g + span_lats[sid]
+                if cur_reused < c:
+                    c = cur_reused
+                    reused += 1
+            append(c)
+        st.reused = reused
+        return
+    ring = st.ring
+    grad = st.grad
+    idx = st.idx
+    if st.scenario.fetch_free:
+        # span instructions are not fetched: no window gate, no slot
+        for p, lat, sid in zip(prods, lats, span_ids):
+            if type(p) is int:
+                s = comp[p]
+            elif type(p) is tuple:
+                s = comp[p[0]]
+                t = comp[p[1]]
+                if t > s:
+                    s = t
+            elif p is None:
+                s = 0.0
+            else:
+                s = 0.0
+                for q in p:
+                    t = comp[q]
+                    if t > s:
+                        s = t
+            if sid < 0:
+                gate = ring[idx]
+                if gate > s:
+                    s = gate
+                c = s + lat
+                if c > grad:
+                    grad = c
+                ring[idx] = grad
+                idx += 1
+                if idx == window:
+                    idx = 0
+            else:
+                if sid != cur_sid:
+                    g = 0.0
+                    for q in gate_refs[sid]:
+                        t = comp[q]
+                        if t > g:
+                            g = t
+                    cur_sid = sid
+                    cur_reused = g + span_lats[sid]
+                c = s + lat
+                if cur_reused < c:
+                    c = cur_reused
+                if c > grad:
+                    grad = c
+            append(c)
+    else:
+        for p, lat, sid in zip(prods, lats, span_ids):
+            if type(p) is int:
+                s = comp[p]
+            elif type(p) is tuple:
+                s = comp[p[0]]
+                t = comp[p[1]]
+                if t > s:
+                    s = t
+            elif p is None:
+                s = 0.0
+            else:
+                s = 0.0
+                for q in p:
+                    t = comp[q]
+                    if t > s:
+                        s = t
+            gate = ring[idx]
+            if gate > s:
+                s = gate
+            c = s + lat
+            if sid >= 0:
+                if sid != cur_sid:
+                    g = 0.0
+                    for q in gate_refs[sid]:
+                        t = comp[q]
+                        if t > g:
+                            g = t
+                    cur_sid = sid
+                    cur_reused = g + span_lats[sid]
+                if cur_reused < c:
+                    c = cur_reused
+                    reused += 1
+            if c > grad:
+                grad = c
+            ring[idx] = grad
+            idx += 1
+            if idx == window:
+                idx = 0
+            append(c)
+    st.grad = grad
+    st.idx = idx
+    st.reused = reused

@@ -23,13 +23,8 @@ _NON_SEMANTIC_FIELDS = frozenset({
     # execution backends are bit-identical by contract, so the choice
     # changes wall-clock time, never the analysed profile
     "backend",
-    # the streaming pipeline is bit-identical to the materialized one
-    # (differential-tested), so these change memory/wall-clock only
-    "streaming",
+    # chunking changes memory/wall-clock only (differential-tested)
     "stream_chunk_size",
-    # the tee'd execute→analyze path produces the same cache entry and
-    # the same profile as write-then-reread (differential-tested)
-    "direct_stream",
 })
 
 
@@ -66,16 +61,9 @@ class ExperimentConfig:
     #: execution backend for kernel runs (see :mod:`repro.vm.backends`);
     #: None defers to ``REPRO_BACKEND`` and then the interpreter
     backend: str | None = None
-    #: analyse through the streaming pipeline (O(chunk) memory, same
-    #: numbers bit for bit); None defers to ``REPRO_STREAMING``
-    streaming: bool | None = None
-    #: instructions per chunk for the streaming pipeline (None = the
-    #: tracestream default)
+    #: instructions per chunk when a kernel executes into the analysis
+    #: (None = the tracestream default)
     stream_chunk_size: int | None = None
-    #: feed execution chunks straight into the streaming analysis while
-    #: a background writer persists the cache entry (the tee'd cold
-    #: path); None defers to ``REPRO_DIRECT_STREAM`` and then on
-    direct_stream: bool | None = None
     #: answer profiles from the simulation-free static estimator
     #: (:mod:`repro.static`) instead of executing — a tier-0 path with
     #: documented per-kernel error bands (``BENCH_static.json``).
@@ -97,8 +85,9 @@ class ExperimentConfig:
         """Rebuild a config from :meth:`to_dict` output (or JSON).
 
         JSON turns tuples into lists, so sequence fields are coerced
-        back; unknown keys are ignored so a newer writer's record
-        still loads on an older reader.
+        back; unknown keys are ignored, so a newer writer's record
+        still loads on an older reader and a record carrying retired
+        fields still loads, under the same cache key.
         """
         tuple_fields = {
             f.name for f in dataclasses.fields(cls)

@@ -1,15 +1,15 @@
 """Per-benchmark analysis pipeline and the parallel fan-out.
 
 ``run_profile`` executes one kernel and derives every number figures
-3-8 and the section 4.5 statistics need.  Since the fused-engine
-rewrite the ~24 timing scenarios (base, ILR and TLR sweeps, both
-window sizes, plus the proportional-K family) are evaluated by one
-:class:`~repro.dataflow.model.FusedDataflowEngine` over a single
-dependence precompute, instead of ~24 independent
-``DataflowModel.analyze`` scans.  ``run_profile_reference`` keeps the
-original per-scenario pipeline (row-layout trace, one ``analyze`` per
-scenario) as the slow oracle for differential tests and as the honest
-pre-optimisation baseline for the engine benchmark.
+3-8 and the section 4.5 statistics need.  The trace is consumed as a
+chunk stream, and the ~24 timing scenarios (base, ILR and TLR sweeps,
+both window sizes, plus the proportional-K family) fold inside one
+:class:`~repro.dataflow.streaming.StreamingDataflowEngine` drain, over
+one shared dependence precompute.  ``run_profile_reference`` keeps the
+original per-scenario pipeline (row-layout trace, one
+``DataflowModel.analyze`` per scenario) as the slow oracle for
+differential tests and as the honest pre-optimisation baseline for
+the engine benchmark.
 
 ``collect_profiles`` fans the 14 kernels out over a process pool
 (each worker regenerates its own trace — cheaper than shipping
@@ -50,16 +50,16 @@ from repro.core.reuse_tlr import (
 )
 from repro.core.stats import TraceIOStats, trace_io_stats
 from repro.core.traces import average_span_length, maximal_reusable_spans
-from repro.dataflow.model import DataflowModel, FusedDataflowEngine, Scenario
+from repro.dataflow.model import DataflowModel, Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.obs.manifest import RunManifest
 from repro.util.parallel import default_worker_count
 from repro.vm import tracecache
+from repro.vm.tracestream import DEFAULT_CHUNK_SIZE
 from repro.workloads.base import (
     build_program,
     get_workload,
-    run_workload,
     stream_workload,
 )
 
@@ -69,19 +69,6 @@ _log = obs.get_logger("runner")
 #: modes ``crash`` (kill the worker), ``raise`` (raise RuntimeError)
 #: and ``sleep<seconds>`` (stall; trips the per-task timeout).
 FAULT_ENV = "REPRO_FAULT_INJECT"
-
-#: Opt into the streaming pipeline globally (``config.streaming=None``
-#: defers here); truthy values: 1/true/yes/on.
-STREAMING_ENV = "REPRO_STREAMING"
-
-
-def _streaming_enabled(config: ExperimentConfig) -> bool:
-    """Resolve ``config.streaming`` against the environment."""
-    if config.streaming is not None:
-        return config.streaming
-    value = os.environ.get(STREAMING_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
 
 @dataclass(slots=True)
 class BenchmarkProfile:
@@ -111,10 +98,12 @@ def run_profile(
 ) -> BenchmarkProfile:
     """Run one kernel and analyse it under every figure-3..8 scenario.
 
-    All scenarios share one :class:`FusedDataflowEngine`, so the
-    stream's dependence structure is derived once and each scenario is
-    a single tight pass.  The numbers are bit-for-bit identical to
-    :func:`run_profile_reference`.
+    The trace is consumed as a chunk stream: a cache hit decodes the v3
+    entry chunk by chunk, and a miss executes the kernel straight into
+    the analysis while a background writer persists the cache entry.
+    Every scenario folds inside one :class:`StreamingDataflowEngine`
+    drain, so peak memory is O(chunk), not O(trace).  The numbers are
+    bit-for-bit identical to :func:`run_profile_reference`.
 
     With ``config.use_cache`` (the default) the finished profile is
     memoised in the persistent cache, keyed by the workload, the
@@ -129,85 +118,6 @@ def run_profile(
         from repro.static.estimator import estimate_profile
 
         return estimate_profile(name, config)
-    if _streaming_enabled(config):
-        return run_profile_streaming(name, config)
-    if config.use_cache:
-        cached = tracecache.load_cached_profile(name, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
-            return cached
-    workload = get_workload(name)
-    with obs.time_stage("stage.trace"):
-        trace = run_workload(
-            name,
-            scale=config.scale,
-            max_instructions=config.max_instructions,
-            use_cache=config.use_cache,
-            backend=config.backend,
-        )
-    with obs.time_stage("stage.reusability"):
-        reuse = instruction_reusability(trace)
-        spans = maximal_reusable_spans(trace, reuse.flags)
-
-    with obs.time_stage("stage.engine_init"):
-        engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    with obs.time_stage("stage.analysis"):
-        win = config.window_size
-        base_inf = engine.analyze(Scenario("base", window_size=None))
-        base_win = engine.analyze(Scenario("base", window_size=win))
-
-        profile = BenchmarkProfile(
-            name=name,
-            suite=workload.suite,
-            dynamic_count=len(trace),
-            percent_reusable=reuse.percent_reusable,
-            avg_trace_size=average_span_length(spans),
-            trace_count=len(spans),
-            base_ipc_inf=base_inf.ipc,
-            base_ipc_win=base_win.ipc,
-            io_stats=trace_io_stats(spans),
-        )
-
-        for latency in config.reuse_latencies:
-            lat = float(latency)
-            profile.ilr_speedup_inf[latency] = engine.analyze(
-                Scenario("ilr", window_size=None, latency=lat)
-            ).speedup_over(base_inf)
-            profile.ilr_speedup_win[latency] = engine.analyze(
-                Scenario("ilr", window_size=win, latency=lat)
-            ).speedup_over(base_win)
-            profile.tlr_speedup_inf[latency] = engine.analyze(
-                Scenario("tlr", window_size=None, latency=lat)
-            ).speedup_over(base_inf)
-            profile.tlr_speedup_win[latency] = engine.analyze(
-                Scenario("tlr", window_size=win, latency=lat)
-            ).speedup_over(base_win)
-
-        for k in config.proportional_ks:
-            profile.tlr_speedup_win_prop[k] = engine.analyze(
-                Scenario("tlr", window_size=win, k=k)
-            ).speedup_over(base_win)
-
-    obs.incr("profiles.computed")
-    if config.use_cache:
-        tracecache.store_cached_profile(name, config.cache_key(), profile)
-    return profile
-
-
-def run_profile_streaming(
-    name: str, config: ExperimentConfig | None = None
-) -> BenchmarkProfile:
-    """:func:`run_profile` through the streaming pipeline.
-
-    The trace is consumed as a chunk stream (cache hits decode the v3
-    entry chunk by chunk; misses execute through an incremental
-    writer), and every scenario folds inside one
-    :class:`StreamingDataflowEngine` drain — peak memory is O(chunk),
-    not O(trace).  The numbers are bit-for-bit identical to
-    :func:`run_profile`, which is why the two paths share one profile
-    cache key (``streaming`` is a non-semantic config field).
-    """
-    if config is None:
-        config = ExperimentConfig()
     if config.use_cache:
         cached = tracecache.load_cached_profile(name, config.cache_key())
         if isinstance(cached, BenchmarkProfile):
@@ -221,19 +131,16 @@ def run_profile_streaming(
             use_cache=config.use_cache,
             backend=config.backend,
             chunk_size=config.stream_chunk_size,
-            direct=config.direct_stream,
         )
-    with obs.time_stage("stage.engine_init"):
-        if config.stream_chunk_size is not None:
-            engine = StreamingDataflowEngine(
-                stream, chunk_size=config.stream_chunk_size
-            )
-        else:
-            engine = StreamingDataflowEngine(stream)
+    profile = profile_stream(stream, name, workload.suite, config)
+    obs.incr("profiles.computed")
+    if config.use_cache:
+        tracecache.store_cached_profile(name, config.cache_key(), profile)
+    return profile
 
-    # Mirror run_profile's scenario set exactly; each scenario's result
-    # is independent of the others, so ordering only decides which
-    # TimingResult lands where.
+
+def profile_scenarios(config: ExperimentConfig) -> list[Scenario]:
+    """The scenarios a profile evaluates, in :func:`profile_stream` order."""
     win = config.window_size
     scenarios = [
         Scenario("base", window_size=None),
@@ -247,15 +154,28 @@ def run_profile_streaming(
         scenarios.append(Scenario("tlr", window_size=win, latency=lat))
     for k in config.proportional_ks:
         scenarios.append(Scenario("tlr", window_size=win, k=k))
+    return scenarios
+
+
+def profile_stream(
+    traceish, name: str, suite: str, config: ExperimentConfig
+) -> BenchmarkProfile:
+    """Analyse one trace (a chunk stream or a materialized trace) into
+    a :class:`BenchmarkProfile` — the body :func:`run_profile` and the
+    static validator share."""
+    with obs.time_stage("stage.engine_init"):
+        engine = StreamingDataflowEngine(
+            traceish, chunk_size=config.stream_chunk_size or DEFAULT_CHUNK_SIZE
+        )
 
     with obs.time_stage("stage.analysis"):
-        results = iter(engine.analyze_all(scenarios))
+        results = iter(engine.analyze_all(profile_scenarios(config)))
         base_inf = next(results)
         base_win = next(results)
 
         profile = BenchmarkProfile(
             name=name,
-            suite=workload.suite,
+            suite=suite,
             dynamic_count=engine.n,
             percent_reusable=engine.reuse.percent_reusable,
             avg_trace_size=engine.avg_span_length,
@@ -273,10 +193,6 @@ def run_profile_streaming(
 
         for k in config.proportional_ks:
             profile.tlr_speedup_win_prop[k] = next(results).speedup_over(base_win)
-
-    obs.incr("profiles.computed")
-    if config.use_cache:
-        tracecache.store_cached_profile(name, config.cache_key(), profile)
     return profile
 
 

@@ -1,7 +1,8 @@
 """Observability: structured telemetry, run manifests, and logging.
 
-The experiment stack got fast (the fused engine) and persistent (the
-trace cache); this package makes it *watchable* and *diagnosable*:
+The experiment stack got fast (the one-pass dataflow engine) and
+persistent (the trace cache); this package makes it *watchable* and
+*diagnosable*:
 
 - :mod:`repro.obs.telemetry` — named counters and stage timers, scoped
   per task and mergeable across processes;
@@ -12,16 +13,14 @@ trace cache); this package makes it *watchable* and *diagnosable*:
   recoverable infrastructure trouble (corrupt cache entries, worker
   crashes, retries) is reported as warnings instead of being swallowed.
 
-``REPRO_PROFILE=1`` additionally turns on per-scenario profiling in
-:class:`~repro.dataflow.model.FusedDataflowEngine` (wall time and
-instruction throughput per analysis pass); see
-:func:`profiling_enabled`.
+The dataflow engine reports each scenario's fold time as an
+``engine.<kind>`` timer and the instructions it analysed as the
+``engine.instructions_analyzed`` counter, on every run.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
 from repro.obs.manifest import (
     RunManifest,
@@ -48,7 +47,6 @@ __all__ = [
     "list_run_groups",
     "list_runs",
     "merge_events",
-    "profiling_enabled",
     "read_events",
     "read_manifest",
     "runs_dir",
@@ -68,7 +66,3 @@ def get_logger(name: str | None = None) -> logging.Logger:
     base = "repro.obs"
     return logging.getLogger(f"{base}.{name}" if name else base)
 
-
-def profiling_enabled() -> bool:
-    """True when ``REPRO_PROFILE=1`` asks for per-scenario profiling."""
-    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")

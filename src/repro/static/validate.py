@@ -94,48 +94,19 @@ def _dynamic_profile_for_program(
 ) -> BenchmarkProfile:
     """A dynamic profile for an unregistered (generated) program.
 
-    Mirrors :func:`repro.exp.runner.run_profile` on a raw
-    :class:`Program` — the generated RL families are not in the
-    workload registry, so they can't ride the normal path.
+    The generated RL families are not in the workload registry, so the
+    program is executed here and analysed by the same
+    :func:`repro.exp.runner.profile_stream` body as
+    :func:`repro.exp.runner.run_profile`.
     """
-    from repro.baselines.ilr import instruction_reusability
-    from repro.core.traces import average_span_length, maximal_reusable_spans
-    from repro.dataflow.model import FusedDataflowEngine, Scenario
+    from repro.exp.runner import profile_stream
     from repro.vm import backends
 
     machine = backends.create_machine(
         program, backends.resolve_backend(config.backend)
     )
     trace = machine.run(max_instructions=config.max_instructions)
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    win = config.window_size
-    base_inf = engine.analyze(Scenario("base", window_size=None))
-    base_win = engine.analyze(Scenario("base", window_size=win))
-    profile = BenchmarkProfile(
-        name=name,
-        suite="gen",
-        dynamic_count=len(trace),
-        percent_reusable=reuse.percent_reusable,
-        avg_trace_size=average_span_length(spans),
-        trace_count=len(spans),
-        base_ipc_inf=base_inf.ipc,
-        base_ipc_win=base_win.ipc,
-    )
-    for latency in config.reuse_latencies:
-        lat = float(latency)
-        profile.ilr_speedup_inf[latency] = engine.analyze(
-            Scenario("ilr", window_size=None, latency=lat)
-        ).speedup_over(base_inf)
-        profile.tlr_speedup_inf[latency] = engine.analyze(
-            Scenario("tlr", window_size=None, latency=lat)
-        ).speedup_over(base_inf)
-    for k in config.proportional_ks:
-        profile.tlr_speedup_win_prop[k] = engine.analyze(
-            Scenario("tlr", window_size=win, k=k)
-        ).speedup_over(base_win)
-    return profile
+    return profile_stream(trace, name, "gen", config)
 
 
 def validate_static(

@@ -400,37 +400,6 @@ def load_cached_trace_stream(
     return stream
 
 
-def store_cached_trace_stream(
-    name: str,
-    scale: int,
-    max_instructions: int | None,
-    source_text: str,
-    stream,
-    backend: str = "interp",
-) -> int:
-    """Drain a chunk stream into an atomically-written v3 cache entry.
-
-    Returns the number of instructions written (0 with the cache
-    disabled, in which case the stream is left undrained).
-    """
-    if not cache_enabled():
-        return 0
-    from repro.vm.tracestream import write_stream
-
-    _open_store()
-    path = trace_path(name, scale, max_instructions, source_text, backend)
-    written = 0
-
-    def write(tmp: pathlib.Path) -> None:
-        nonlocal written
-        written = write_stream(stream, tmp)
-
-    with _entry_lock(path):
-        _atomic_write(path, write)
-    incr("trace_cache.store")
-    return written
-
-
 def tee_cached_trace_stream(
     name: str,
     scale: int,
@@ -446,9 +415,8 @@ def tee_cached_trace_stream(
     a :class:`~repro.vm.tracev3.TraceWriter` (threaded when
     ``REPRO_CODEC_THREADS`` allows) writes the same segments to a
     pid-tagged temp file; a complete drain publishes it under the
-    per-entry lock with the same atomic ``os.replace`` as
-    :func:`store_cached_trace_stream`, and later drains replay from
-    the published entry.  An abandoned or failed drain discards the
+    per-entry lock with an atomic ``os.replace``, and later drains
+    replay from the published entry.  An abandoned or failed drain discards the
     temp file and publishes nothing.  Racing writers of the same key
     are safe: contents are identical by construction, and a live
     writer's pid-tagged temp is never reaped.

@@ -35,7 +35,6 @@ Three concrete streams cover the pipeline:
 
 from __future__ import annotations
 
-import os
 import pathlib
 from collections.abc import Callable, Iterator
 
@@ -50,23 +49,6 @@ from repro.vm.trace import (
 
 #: Default instructions per chunk when re-slicing or executing.
 DEFAULT_CHUNK_SIZE = 65536
-
-#: Opt-out switch for the tee'd execute→analyze cold path
-#: (``REPRO_DIRECT_STREAM=0`` forces the write-then-reread path).
-DIRECT_STREAM_ENV = "REPRO_DIRECT_STREAM"
-
-
-def direct_stream_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the direct-stream knob: explicit argument, then the
-    ``REPRO_DIRECT_STREAM`` environment variable, then on by default
-    (both paths are bit-identical; direct is strictly less work)."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(DIRECT_STREAM_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
 
 def run_chunks(machine, max_instructions: int | None = None, *,
                chunk_size: int = DEFAULT_CHUNK_SIZE,

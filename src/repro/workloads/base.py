@@ -133,7 +133,6 @@ def stream_workload(
     use_cache: bool = True,
     backend: str | None = None,
     chunk_size: int | None = None,
-    direct: bool | None = None,
 ):
     """Like :func:`run_workload`, but returns a **chunk stream** — the
     trace is never held whole in memory.
@@ -141,20 +140,14 @@ def stream_workload(
     Cache hits stream straight out of the v3 entry
     (:class:`~repro.vm.tracestream.FileTraceStream`, O(chunk) decode).
     Misses with the cache enabled take the **direct execute→analyze
-    path** by default: a :class:`~repro.vm.tracestream.TeeChunkStream`
-    feeds segments straight from the machine to the consumer while a
+    path**: a :class:`~repro.vm.tracestream.TeeChunkStream` feeds
+    segments straight from the machine to the consumer while a
     background writer persists the same segments into the cache entry
-    — one execution, no serialize-then-reread round trip.  ``direct``
-    (or ``REPRO_DIRECT_STREAM=0``) forces the legacy write-then-reread
-    path instead; both are bit-identical.  With the cache off, an
-    :class:`~repro.vm.tracestream.ExecutionChunkStream` re-executes
-    the (deterministic) kernel on every drain.
+    — one execution, no serialize-then-reread round trip.  With the
+    cache off, an :class:`~repro.vm.tracestream.ExecutionChunkStream`
+    re-executes the (deterministic) kernel on every drain.
     """
-    from repro.vm.tracestream import (
-        DEFAULT_CHUNK_SIZE,
-        ExecutionChunkStream,
-        direct_stream_enabled,
-    )
+    from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, ExecutionChunkStream
 
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
@@ -178,17 +171,7 @@ def stream_workload(
         chunk_size=chunk_size,
     )
     if use_cache:
-        if direct_stream_enabled(direct):
-            return tracecache.tee_cached_trace_stream(
-                name, scale, max_instructions, source, exec_stream, resolved
-            )
-        written = tracecache.store_cached_trace_stream(
+        return tracecache.tee_cached_trace_stream(
             name, scale, max_instructions, source, exec_stream, resolved
         )
-        if written:
-            cached = tracecache.load_cached_trace_stream(
-                name, scale, max_instructions, source, resolved
-            )
-            if cached is not None:
-                return cached
     return exec_stream

@@ -1,13 +1,17 @@
-"""Differential tests: the fused engine against the per-scenario model.
+"""Differential tests: the one-pass multi-scenario engine against the
+per-scenario model.
 
-The :class:`FusedDataflowEngine` re-implements every reuse-plan family
-as a tight per-scenario pass over one shared dependence precompute.
-The per-scenario :class:`DataflowModel` (plus the plan builders in
-``baselines.ilr`` and ``core.reuse_tlr``) is the slow oracle; the
-engine must match it bit-for-bit, not just within a tolerance.
+:class:`StreamingDataflowEngine` folds every reuse-plan family over one
+shared dependence precompute, block by block.  The per-scenario
+:class:`DataflowModel` (plus the plan builders in ``baselines.ilr`` and
+``core.reuse_tlr``) is the slow oracle; the engine must match it
+bit-for-bit, not just within a tolerance, at any chunk size and block
+cap.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +22,11 @@ from repro.core.reuse_tlr import (
     ProportionalReuseLatency,
     tlr_reuse_plan,
 )
-from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import DataflowModel, FusedDataflowEngine, Scenario
+from repro.core.stats import trace_io_stats
+from repro.core.traces import average_span_length, maximal_reusable_spans
+from repro.dataflow import streaming
+from repro.dataflow.model import DataflowModel, Scenario
+from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
 from repro.workloads.base import run_workload
@@ -62,27 +69,42 @@ def scenarios(draw):
     )
 
 
-@given(dyn_streams(), st.lists(scenarios(), min_size=1, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_fused_engine_matches_per_scenario_model(stream, scens):
+def assert_matches_oracle(stream, results, scens):
     flags = instruction_reusability(stream).flags
     spans = maximal_reusable_spans(stream, flags)
-    engine = FusedDataflowEngine(stream, flags=flags, spans=spans)
-    for scenario in scens:
-        fused = engine.analyze(scenario)
+    for scenario, got in zip(scens, results):
         ref = reference_result(stream, scenario, flags, spans)
-        assert fused.instruction_count == ref.instruction_count
-        assert fused.total_cycles == ref.total_cycles  # exact, not approx
-        assert fused.reused_count == ref.reused_count
-        assert fused.window_size == ref.window_size
+        assert got.instruction_count == ref.instruction_count
+        assert got.total_cycles == ref.total_cycles  # exact, not approx
+        assert got.reused_count == ref.reused_count
+        assert got.window_size == ref.window_size
+
+
+@given(dyn_streams(), st.lists(scenarios(), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size,
+                                                 cap):
+    """Any chunking and any block cap — including streams many times
+    longer than the cap — give the oracle's numbers."""
+    with mock.patch.object(streaming, "BLOCK_CAP", cap):
+        engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
+        results = engine.analyze_all(scens)
+    assert_matches_oracle(stream, results, scens)
+    reuse = instruction_reusability(stream)
+    spans = maximal_reusable_spans(stream, reuse.flags)
+    assert engine.reuse.reusable_count == reuse.reusable_count
+    assert engine.reuse.signature_count == reuse.signature_count
+    assert engine.span_count == len(spans)
+    assert engine.avg_span_length == average_span_length(spans)
+    assert engine.io_stats == trace_io_stats(spans)
 
 
 @given(dyn_streams())
 @settings(max_examples=100, deadline=None)
 def test_analyze_all_matches_individual_calls(stream):
-    flags = instruction_reusability(stream).flags
-    spans = maximal_reusable_spans(stream, flags)
-    engine = FusedDataflowEngine(stream, flags=flags, spans=spans)
+    engine = StreamingDataflowEngine(stream, chunk_size=5)
     scens = [
         Scenario("base", window_size=None),
         Scenario("base", window_size=8),
@@ -92,13 +114,12 @@ def test_analyze_all_matches_individual_calls(stream):
     ]
     batch = engine.analyze_all(scens)
     for scenario, result in zip(scens, batch):
-        single = engine.analyze(scenario)
-        assert result.total_cycles == single.total_cycles
-        assert result.reused_count == single.reused_count
+        (single,) = engine.analyze_all([scenario])
+        assert result == single
 
 
 class TestOnRealWorkloads:
-    """The full profile pipeline, fused vs. reference, on real kernels."""
+    """The full profile pipeline, engine vs. reference, on real kernels."""
 
     def test_profiles_bit_identical(self):
         config = ExperimentConfig(max_instructions=3_000, use_cache=False)
@@ -109,12 +130,26 @@ class TestOnRealWorkloads:
 
     def test_engine_accepts_columnar_trace(self):
         trace = run_workload("li", max_instructions=2_000, use_cache=False)
-        flags = instruction_reusability(trace).flags
-        spans = maximal_reusable_spans(trace, flags)
-        engine = FusedDataflowEngine(trace, flags=flags, spans=spans)
-        fused = engine.analyze(Scenario("base", window_size=64))
+        (result,) = StreamingDataflowEngine(trace).analyze_all(
+            [Scenario("base", window_size=64)])
         ref = DataflowModel(64).analyze(trace)
-        assert fused.total_cycles == ref.total_cycles
+        assert result.total_cycles == ref.total_cycles
+
+    def test_stream_longer_than_block_cap(self):
+        """A real trace spanning several production-size blocks and
+        chunks matches the oracle on every scenario family."""
+        trace = run_workload("go", max_instructions=3 * streaming.BLOCK_CAP,
+                             use_cache=False)
+        scens = [
+            Scenario("base", window_size=256),
+            Scenario("ilr", window_size=256, latency=1.0),
+            Scenario("tlr", window_size=None, latency=2.0),
+            Scenario("tlr", window_size=256, k=1 / 8),
+            Scenario("tlr", window_size=256, latency=1.0, fetch_free=False),
+        ]
+        results = StreamingDataflowEngine(
+            trace, chunk_size=10_000).analyze_all(scens)
+        assert_matches_oracle(trace, results, scens)
 
 
 class TestScenarioValidation:

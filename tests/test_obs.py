@@ -7,6 +7,10 @@ import json
 import pytest
 
 from repro import obs
+from repro.dataflow.model import Scenario
+from repro.dataflow.streaming import StreamingDataflowEngine
+from repro.exp.config import ExperimentConfig
+from repro.exp.runner import run_profile
 from repro.obs import telemetry
 from repro.obs.manifest import RunManifest
 
@@ -74,20 +78,6 @@ class TestTelemetry:
         reg.incr("gone")
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "timers": {}}
-
-
-class TestProfilingEnabled:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not obs.profiling_enabled()
-
-    def test_zero_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not obs.profiling_enabled()
-
-    def test_one_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert obs.profiling_enabled()
 
 
 class TestRunManifest:
@@ -346,58 +336,45 @@ class TestObsCli:
 
 
 class TestEngineProfilingHooks:
-    def test_records_collected_when_enabled(self, monkeypatch,
-                                            tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
+    """The engine times every scenario on every run — no switch."""
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
-        engine = FusedDataflowEngine(
-            tiny_loop_trace, flags=reuse.flags, spans=spans
-        )
-        engine.analyze(Scenario("base", window_size=None))
-        engine.analyze(Scenario("tlr", window_size=256, latency=1.0))
-        assert engine.profile_records is not None
-        assert len(engine.profile_records) == 2
-        record = engine.profile_records[0]
-        assert record["kind"] == "base"
-        assert record["instructions"] == len(tiny_loop_trace)
-        assert record["seconds"] >= 0.0
-        assert record["instructions_per_second"] > 0
-        assert json.dumps(engine.profile_records)  # JSON-able
+    SCENARIOS = [
+        Scenario("base", window_size=None),
+        Scenario("tlr", window_size=256, latency=1.0),
+        Scenario("tlr", window_size=None, latency=2.0),
+    ]
 
-    def test_disabled_by_default(self, monkeypatch, tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
-
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
-        engine = FusedDataflowEngine(
-            tiny_loop_trace, flags=reuse.flags, spans=spans
-        )
-        engine.analyze(Scenario("base", window_size=None))
-        assert engine.profile_records is None
-
-    def test_analysis_timers_reported(self, monkeypatch, tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
-
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
+    def test_timer_per_scenario_kind(self, tiny_loop_trace):
         with obs.scope() as registry:
-            engine = FusedDataflowEngine(
-                tiny_loop_trace, flags=reuse.flags, spans=spans
-            )
-            engine.analyze(Scenario("base", window_size=None))
+            StreamingDataflowEngine(tiny_loop_trace).analyze_all(
+                self.SCENARIOS)
+            snap = registry.snapshot()
+        assert snap["timers"]["engine.base"]["calls"] == 1
+        assert snap["timers"]["engine.tlr"]["calls"] == 2
+        assert "engine.ilr" not in snap["timers"]
+        for entry in snap["timers"].values():
+            assert entry["seconds"] >= 0.0
+        assert json.dumps(snap)  # JSON-able, as manifests store it
+
+    def test_analysis_timers_reported(self, tiny_loop_trace):
+        with obs.scope() as registry:
+            StreamingDataflowEngine(tiny_loop_trace).analyze_all(
+                [Scenario("base", window_size=None)])
             snap = registry.snapshot()
         assert snap["timers"]["engine.base"]["calls"] == 1
         assert snap["counters"]["engine.instructions_analyzed"] == len(
             tiny_loop_trace
         )
+
+    def test_run_profile_telemetry_has_engine_timers(self):
+        config = ExperimentConfig(max_instructions=500, use_cache=False)
+        with obs.scope() as registry:
+            run_profile("li", config)
+            snap = registry.snapshot()
+        scenarios = 2 + 4 * len(config.reuse_latencies) + len(
+            config.proportional_ks)
+        calls = sum(snap["timers"][f"engine.{kind}"]["calls"]
+                    for kind in ("base", "ilr", "tlr"))
+        assert calls == scenarios
+        assert snap["counters"]["engine.instructions_analyzed"] == (
+            500 * scenarios)

@@ -93,6 +93,23 @@ class TestShardQueue:
         assert config.cache_key() == TINY.cache_key()
         assert config.workloads == TINY.workloads
 
+    def test_job_with_retired_config_fields_loads(self, cache_dir):
+        """A pending job written before the ``streaming`` and
+        ``direct_stream`` knobs were retired still loads, under the same
+        profile cache key as today's config."""
+        queue = ShardQueue()
+        queue.enqueue("li", TINY)
+        (path,) = (queue.root / "pending").glob("*.json")
+        record = json.loads(path.read_text())
+        record["config"].update(streaming=True, direct_stream=False)
+        path.write_text(json.dumps(record, sort_keys=True))
+        job = queue.claim("w1")
+        config = job.experiment_config()
+        assert config == TINY
+        assert config.cache_key() == TINY.cache_key()
+        legacy = dict(TINY.to_dict(), streaming=None, direct_stream=True)
+        assert ExperimentConfig.from_dict(legacy).cache_key() == TINY.cache_key()
+
     def test_complete_settles_shard(self, cache_dir):
         queue = ShardQueue()
         queue.enqueue("li", TINY)

@@ -1,12 +1,14 @@
 """The streaming pipeline's bit-identity contract.
 
-Every consumer of a chunk stream — the streaming dataflow engine, the
-RTM simulator, the ILR/distance/block/prediction baselines, and the
+Every consumer of a chunk stream — the dataflow engine, the RTM
+simulator, the ILR/distance/block/prediction baselines, and the
 profile runner — must produce numbers *bit-identical* to its
-materialized counterpart, at any chunk size.  The beyond-RAM test then
-proves the point of it all: under an address-space limit where the
-materialized pipeline dies of MemoryError, the streaming pipeline
-completes and still matches.
+materialized counterpart (for the engine: the per-scenario
+``DataflowModel`` oracle), at any chunk size.  The beyond-RAM test
+then proves the point of it all: under an address-space limit where
+the materialized pipeline dies of MemoryError, the streaming pipeline
+completes, stays far below the limit in resident memory, and still
+matches.
 """
 
 import dataclasses
@@ -30,12 +32,14 @@ from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import FusedDataflowEngine, Scenario
+from repro.dataflow.model import Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import run_profile, run_profile_streaming
+from repro.exp.runner import run_profile, run_profile_reference
 from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import all_workloads, run_workload, stream_workload
+
+from test_fused_engine import reference_result
 
 KERNELS = [w.name for w in all_workloads()]
 
@@ -53,18 +57,21 @@ SCENARIOS = [
 ]
 
 
-def fused_results(trace):
+def oracle_results(trace):
+    """Every scenario through the per-scenario ``DataflowModel`` path."""
     reuse = instruction_reusability(trace)
     spans = maximal_reusable_spans(trace, reuse.flags)
-    engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    return engine.analyze_all(SCENARIOS), reuse, spans
+    results = [reference_result(trace, s, reuse.flags, spans)
+               for s in SCENARIOS]
+    return results, reuse, spans
 
 
 class TestStreamingEngine:
     @pytest.mark.parametrize("chunk_size", [7, 997, 65536])
     def test_bit_identical_to_fused(self, chunk_size):
+        """The one-pass multi-scenario result equals the oracle's."""
         trace = run_workload("compress", max_instructions=4_000)
-        expected, reuse, spans = fused_results(trace)
+        expected, reuse, spans = oracle_results(trace)
         engine = StreamingDataflowEngine(trace, chunk_size=chunk_size)
         got = engine.analyze_all(SCENARIOS)
         assert got == expected
@@ -76,7 +83,7 @@ class TestStreamingEngine:
     def test_all_kernels_one_chunk_size(self):
         for name in KERNELS:
             trace = run_workload(name, max_instructions=2_000)
-            expected, _, _ = fused_results(trace)
+            expected, _, _ = oracle_results(trace)
             got = StreamingDataflowEngine(
                 trace, chunk_size=311).analyze_all(SCENARIOS)
             assert got == expected, name
@@ -176,50 +183,85 @@ class TestStreamingProfiles:
     def test_profiles_bit_identical_all_kernels(self):
         for name in KERNELS:
             a = run_profile(name, self.CONFIG)
-            b = run_profile_streaming(name, self.CONFIG)
+            b = run_profile_reference(name, self.CONFIG)
             assert dataclasses.asdict(a) == dataclasses.asdict(b), name
 
     def test_chunk_size_invariance(self):
         a = run_profile("go", self.CONFIG)
         for chunk in (1, 7, 4096):
             cfg = dataclasses.replace(self.CONFIG, stream_chunk_size=chunk)
-            b = run_profile_streaming("go", cfg)
+            b = run_profile("go", cfg)
             assert dataclasses.asdict(a) == dataclasses.asdict(b), chunk
 
-    def test_run_profile_dispatches_on_config(self):
-        cfg = dataclasses.replace(self.CONFIG, streaming=True)
-        a = run_profile("li", cfg)
-        b = run_profile("li", self.CONFIG)
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    def test_run_profile_dispatches_on_config(self, monkeypatch):
+        """``tier0_static`` is the one config field that routes a profile
+        away from execution."""
+        from repro.vm import backends
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("tier-0 must not execute")
+
+        monkeypatch.setattr(backends, "create_machine", no_machine)
+        cfg = dataclasses.replace(self.CONFIG, tier0_static=True)
+        assert run_profile("li", cfg).name == "li"
 
     def test_run_profile_dispatches_on_env(self, monkeypatch):
-        from repro.exp import runner
+        """``REPRO_BACKEND`` picks the backend when the config leaves it
+        open; the profile is the same either way."""
+        from repro.vm import backends
 
-        calls = []
-        real = runner.run_profile_streaming
+        used = []
+        real = backends.create_machine
 
-        def spy(name, config=None):
-            calls.append(name)
-            return real(name, config)
+        def spy(program, backend):
+            used.append(backend)
+            return real(program, backend)
 
-        monkeypatch.setattr(runner, "run_profile_streaming", spy)
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        runner.run_profile("li", self.CONFIG)
-        assert calls == ["li"]
+        monkeypatch.setattr(backends, "create_machine", spy)
+        monkeypatch.setenv("REPRO_BACKEND", "fast")
+        a = run_profile("li", self.CONFIG)
+        assert used and set(used) == {"fast"}
+        monkeypatch.setenv("REPRO_BACKEND", "interp")
+        b = run_profile("li", self.CONFIG)
+        assert "interp" in used
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_cache_key_shared_across_pipelines(self):
+        """Chunking is not part of the key, and a record written with
+        the retired pipeline knobs maps onto the same entry."""
         base = self.CONFIG
-        stream_cfg = dataclasses.replace(
-            base, streaming=True, stream_chunk_size=777)
-        assert base.cache_key() == stream_cfg.cache_key()
+        chunked = dataclasses.replace(base, stream_chunk_size=777)
+        assert base.cache_key() == chunked.cache_key()
+        legacy = dict(base.to_dict(), streaming=True, direct_stream=False)
+        assert ExperimentConfig.from_dict(legacy).cache_key() == base.cache_key()
 
 
 #: Budget/limit pair at which the materialized pipeline exceeds the
 #: address-space limit but the O(chunk) streaming pipeline does not
-#: (measured boundary: materialized needs >192 MiB from ~600k
-#: instructions on, streaming stays under 160 MiB at any budget).
+#: (measured: the materialized oracle pipeline grows by ~240 MiB at
+#: 600k instructions; the streaming run by ~65 MiB, most of it the RTM
+#: simulator's tables).
 _BEYOND_RAM_BUDGET = 600_000
 _BEYOND_RAM_LIMIT = 192 * 1024 * 1024
+#: Largest peak-RSS growth (``VmHWM``) over the post-import baseline
+#: the streaming run may show: half the limit, and well under what the
+#: materialized pipeline needs.
+_BEYOND_RAM_GROWTH = 96 * 1024 * 1024
+
+#: ``RLIMIT_AS`` counts address space, not memory: every OpenBLAS or
+#: trace-codec thread reserves stack, and glibc may give each thread a
+#: 64 MiB malloc arena reservation, none of it touched; their number
+#: follows the host's CPU count and thread timing.  The subprocesses
+#: pin BLAS and codec threads to one and malloc to one arena, so the
+#: limit means the same on any host and in any run (measured: with a
+#: second arena the streaming run's VmPeak landed on the cap itself,
+#: failing now and then; with one it stays ~10 MiB under).  Trace
+#: files are byte-identical at any codec pool size.
+_BEYOND_RAM_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "REPRO_CODEC_THREADS": "1",
+    "MALLOC_ARENA_MAX": "1",
+}
 
 _MAT_SNIPPET = """\
 import resource, sys
@@ -227,14 +269,15 @@ resource.setrlimit(resource.RLIMIT_AS,
                    ({limit}, {limit}))
 from repro.workloads.base import run_workload
 from repro.baselines.ilr import instruction_reusability
+from repro.core.reuse_tlr import ConstantReuseLatency, tlr_reuse_plan
 from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import FusedDataflowEngine, Scenario
+from repro.dataflow.model import DataflowModel
 t = run_workload("compress", max_instructions={budget},
                  use_cache=False, backend="fast")
 r = instruction_reusability(t)
 s = maximal_reusable_spans(t, r.flags)
-e = FusedDataflowEngine(t, flags=r.flags, spans=s)
-e.analyze(Scenario("tlr", window_size=256, latency=1.0))
+plan = tlr_reuse_plan(t, s, ConstantReuseLatency(1.0))
+DataflowModel(256).analyze(t, plan)
 print("materialized unexpectedly fit")
 """
 
@@ -248,6 +291,14 @@ from repro.dataflow.model import Scenario
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.core.rtm.collector import ILRHeuristic
+def peak():
+    # VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
+    # child of a big test process would start at the parent's peak
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+baseline = peak()
 e = StreamingDataflowEngine(
     stream_workload("compress", max_instructions={budget}, backend="fast"))
 res = e.analyze_all([Scenario("base", window_size=256),
@@ -256,6 +307,7 @@ sim = FiniteReuseSimulator(RTM_PRESETS["512"], ILRHeuristic(False))
 rtm = sim.run(
     stream_workload("compress", max_instructions={budget}, backend="fast"))
 print(json.dumps({{
+    "rss_growth": peak() - baseline,
     "n": e.n,
     "percent_reusable": e.reuse.percent_reusable,
     "span_count": e.span_count,
@@ -272,10 +324,11 @@ print(json.dumps({{
 class TestBeyondRAM:
     """The acceptance run: a trace whose decoded working set exceeds
     the process address-space limit streams through run -> analyze ->
-    RTM bit-identically, where the materialized path dies."""
+    RTM bit-identically, with bounded resident growth, where the
+    materialized path dies."""
 
     def _run(self, snippet):
-        env = dict(os.environ)
+        env = dict(os.environ, **_BEYOND_RAM_ENV)
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -295,18 +348,20 @@ class TestBeyondRAM:
         proc = self._run(_STREAM_SNIPPET)
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
+        assert 0 < got["rss_growth"] < _BEYOND_RAM_GROWTH
 
-        # reference numbers from the materialized pipeline, no limit
-        # (the subprocess populated the trace cache, so this is a
+        # reference numbers from the materialized oracle pipeline, no
+        # limit (the subprocess populated the trace cache, so this is a
         # streamed-v3 cache hit, not a re-execution)
         trace = run_workload("compress",
                              max_instructions=_BEYOND_RAM_BUDGET,
                              backend="fast")
         r = instruction_reusability(trace)
         s = maximal_reusable_spans(trace, r.flags)
-        engine = FusedDataflowEngine(trace, flags=r.flags, spans=s)
-        base = engine.analyze(Scenario("base", window_size=256))
-        tlr = engine.analyze(Scenario("tlr", window_size=256, latency=1.0))
+        base = reference_result(
+            trace, Scenario("base", window_size=256), r.flags, s)
+        tlr = reference_result(
+            trace, Scenario("tlr", window_size=256, latency=1.0), r.flags, s)
         sim = FiniteReuseSimulator(RTM_PRESETS["512"], ILRHeuristic(False))
         rtm = sim.run(trace)
 
@@ -323,8 +378,8 @@ class TestBeyondRAM:
 
 class TestDirectStream:
     """The tee'd execute→analyze path: one execution feeds the analysis
-    *and* persists the cache entry, bit- and byte-identical to the
-    legacy write-then-reread path."""
+    *and* persists the cache entry, byte-identical to the entry the
+    materialized ``run_workload`` path writes."""
 
     CONFIG = ExperimentConfig(
         max_instructions=1_500,
@@ -332,24 +387,20 @@ class TestDirectStream:
         proportional_ks=(1 / 8, 1.0),
     )
 
-    def test_tee_profiles_bit_identical_all_kernels(self, tmp_path,
-                                                    monkeypatch):
-        """Each kernel's cold profile through the tee equals the legacy
-        path's, and the two cache entries are byte-identical (the
-        writer re-chunks, so execution segmentation never leaks into
-        the file)."""
-        import dataclasses as dc
-
+    def test_cold_profile_entry_matches_run_workload(self, tmp_path,
+                                                     monkeypatch):
+        """Each kernel's cold ``run_profile`` writes the same trace-cache
+        entry, byte for byte, as ``run_workload`` for the same kernel
+        and budget (the writer re-chunks, so execution segmentation
+        never leaks into the file)."""
         for name in KERNELS:
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a" / name))
-            direct = run_profile_streaming(
-                name, dc.replace(self.CONFIG, direct_stream=True))
+            run_profile(name, self.CONFIG)
             (entry_a,) = (tmp_path / "a" / name / "traces").glob("*.trace")
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b" / name))
-            legacy = run_profile_streaming(
-                name, dc.replace(self.CONFIG, direct_stream=False))
+            run_workload(name, max_instructions=self.CONFIG.max_instructions)
             (entry_b,) = (tmp_path / "b" / name / "traces").glob("*.trace")
-            assert dataclasses.asdict(direct) == dataclasses.asdict(legacy), name
+            assert entry_a.name == entry_b.name, name
             assert entry_a.read_bytes() == entry_b.read_bytes(), name
 
     def test_tee_persists_and_replays(self, tmp_path, monkeypatch):
@@ -357,7 +408,7 @@ class TestDirectStream:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         stream = stream_workload("li", max_instructions=1_000,
-                                 use_cache=True, direct=True)
+                                 use_cache=True)
         assert isinstance(stream, TeeChunkStream)
         assert not stream.persisted
         first = [len(c) for c in stream.chunks()]
@@ -369,7 +420,7 @@ class TestDirectStream:
     def test_abandoned_drain_publishes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         stream = stream_workload("li", max_instructions=5_000,
-                                 use_cache=True, chunk_size=100, direct=True)
+                                 use_cache=True, chunk_size=100)
         it = stream.chunks()
         next(it)
         it.close()  # consumer walks away mid-drain
@@ -380,23 +431,3 @@ class TestDirectStream:
         # the next drain starts over and completes normally
         assert sum(len(c) for c in stream.chunks()) == 5_000
         assert stream.persisted
-
-    def test_env_knob_disables_direct(self, monkeypatch):
-        from repro.vm.tracestream import direct_stream_enabled
-
-        assert direct_stream_enabled() is True
-        assert direct_stream_enabled(False) is False
-        for raw in ("0", "false", "no", "off", ""):
-            monkeypatch.setenv("REPRO_DIRECT_STREAM", raw)
-            assert direct_stream_enabled() is False
-        monkeypatch.setenv("REPRO_DIRECT_STREAM", "1")
-        assert direct_stream_enabled() is True
-        # an explicit config value beats the environment
-        assert direct_stream_enabled(False) is False
-
-    def test_direct_stream_shares_the_profile_cache_key(self):
-        import dataclasses as dc
-
-        on = dc.replace(self.CONFIG, direct_stream=True)
-        off = dc.replace(self.CONFIG, direct_stream=False)
-        assert on.cache_key() == off.cache_key()
