@@ -44,12 +44,15 @@ With ``--coldpath`` the script benchmarks the cold execute→analyze
 path end to end and writes ``BENCH_coldpath.json``: per kernel, pure
 execution wall time (fresh-process best-of-2), execute+encode wall
 time (the incremental v3 writer), and the tee'd cold run
-(execute+encode+analyze in one drain, cache entry persisted), plus an
-identity check at ``--verify-budget``: the tee'd results against the
-per-scenario ``DataflowModel`` oracle, and the tee'd cache entry
-byte for byte against ``write_stream(ExecutionChunkStream)``.  Ratio gates keep it machine-independent:
-encode overhead (write/exec wall) must stay under 3x and every
-identity check must hold.
+(execute+encode+analyze in one drain of every scenario a profile
+folds, cache entry persisted, with the number of fold executors the
+drain used), plus an identity check at ``--verify-budget``: the tee'd
+results against the per-scenario ``DataflowModel`` oracle, and the
+tee'd cache entry byte for byte against
+``write_stream(ExecutionChunkStream)``.  Ratio gates keep it
+machine-independent: encode overhead (write/exec wall) must stay under
+3x and every identity check must hold; ``cold_vs_exec`` is
+informational.
 
 Usage::
 
@@ -86,10 +89,15 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro import obs  # noqa: E402
 from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability  # noqa: E402
-from repro.core.reuse_tlr import ConstantReuseLatency, tlr_reuse_plan  # noqa: E402
+from repro.core.reuse_tlr import (  # noqa: E402
+    ConstantReuseLatency,
+    ProportionalReuseLatency,
+    tlr_reuse_plan,
+)
 from repro.core.traces import maximal_reusable_spans  # noqa: E402
-from repro.dataflow.model import DataflowModel, Scenario  # noqa: E402
+from repro.dataflow.model import DataflowModel  # noqa: E402
 from repro.dataflow.streaming import StreamingDataflowEngine  # noqa: E402
 from repro.exp.config import ExperimentConfig  # noqa: E402
 from repro.exp.runner import (  # noqa: E402
@@ -271,6 +279,8 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
 
     tmp = pathlib.Path(tmpdir)
     kernels = ("compress", "tomcatv", "go")
+    # the scenarios a profile folds, so the cold leg is the real workload
+    scenarios = profile_scenarios(ExperimentConfig())
     per_kernel = {}
     min_ratio_vs_v2 = float("inf")
     for name in kernels:
@@ -380,18 +390,6 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     }
 
 
-#: The cold-path scenario subset: one representative of each fold
-#: family.  The full 24-scenario figure sweep is analysis-bound at any
-#: budget (24 folds dwarf one execution), so the cold-path question —
-#: "does the codec keep up with the machine?" — is asked with a
-#: bounded analysis instead.
-COLDPATH_SCENARIOS = [
-    Scenario("base", window_size=None),
-    Scenario("ilr", window_size=None, latency=1.0),
-    Scenario("tlr", window_size=256, latency=1.0),
-]
-
-
 def oracle_results(trace, scenarios) -> list:
     """Each scenario through one ``DataflowModel.analyze`` scan."""
     reuse = instruction_reusability(trace)
@@ -404,8 +402,10 @@ def oracle_results(trace, scenarios) -> list:
         elif scenario.kind == "ilr":
             plan = ilr_reuse_plan(trace, reuse.flags, scenario.latency)
         else:
-            plan = tlr_reuse_plan(trace, spans,
-                                  ConstantReuseLatency(scenario.latency),
+            latency = (ConstantReuseLatency(scenario.latency)
+                       if scenario.k is None
+                       else ProportionalReuseLatency(scenario.k))
+            plan = tlr_reuse_plan(trace, spans, latency,
                                   fetch_free=scenario.fetch_free)
         results.append(model.analyze(trace, plan))
     return results
@@ -419,6 +419,8 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
 
     tmp = pathlib.Path(tmpdir)
     kernels = ("compress", "tomcatv", "go")
+    # the scenarios a profile folds, so the cold leg is the real workload
+    scenarios = profile_scenarios(ExperimentConfig())
     per_kernel = {}
     all_identical = True
     max_encode_overhead = 0.0
@@ -440,12 +442,14 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         # leg 3: the tee'd cold run — execute + encode + analyze in
         # one drain, cache entry persisted as a side effect
         os.environ["REPRO_CACHE_DIR"] = str(tmp / "cold" / name)
-        start = time.perf_counter()
-        tee = stream_workload(name, max_instructions=trace_budget,
-                              backend="fast")
-        engine = StreamingDataflowEngine(tee)
-        engine.analyze_all(COLDPATH_SCENARIOS)
-        cold_s = time.perf_counter() - start
+        with obs.scope() as registry:
+            start = time.perf_counter()
+            tee = stream_workload(name, max_instructions=trace_budget,
+                                  backend="fast")
+            engine = StreamingDataflowEngine(tee)
+            engine.analyze_all(scenarios)
+            cold_s = time.perf_counter() - start
+        fold_executors = registry.counters["engine.fold_executors"]
         persisted = bool(getattr(tee, "persisted", False))
 
         # identity at a budget small enough to hold the materialized
@@ -456,7 +460,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         tee_res = StreamingDataflowEngine(
             stream_workload(name, max_instructions=verify_budget,
                             backend="fast")
-        ).analyze_all(COLDPATH_SCENARIOS)
+        ).analyze_all(scenarios)
         (entry,) = (tmp / "verify" / name / "traces").glob("*.trace")
         plain = tmp / f"{name}.plain.trace"
         write_stream(ExecutionChunkStream(
@@ -464,7 +468,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
             program_name=name, max_instructions=verify_budget), plain)
         trace = FastMachine(build_program(name)).run(
             max_instructions=verify_budget)
-        oracle_res = oracle_results(trace, COLDPATH_SCENARIOS)
+        oracle_res = oracle_results(trace, scenarios)
         del trace
         gc.collect()
         identical = (tee_res == oracle_res
@@ -484,6 +488,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
             "cold_instr_per_sec": round(n / cold_s),
             "encode_overhead_vs_exec": round(encode_overhead, 3),
             "cold_vs_exec": round(cold_s / exec_s, 3),
+            "fold_executors": fold_executors,
             "analyze_seconds": round(cold_s - write_s, 4),
             "bit_identical": identical,
             "tee_persisted": persisted,
@@ -493,7 +498,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         "kernels": list(kernels),
         "trace_budget": trace_budget,
         "verify_budget": verify_budget,
-        "scenarios": len(COLDPATH_SCENARIOS),
+        "scenarios": len(scenarios),
         "codec_threads": _codec_threads(),
         "protocol": ("exec: best-of-2 fresh process; write/cold: one "
                      "in-process run each"),

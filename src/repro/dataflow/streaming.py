@@ -45,19 +45,40 @@ stream would also defeat the paper's trace-collection limits).
 The window fill phase (fewer than ``window`` fetched instructions, so
 no gate yet) runs through one generic loop; once the window is full
 each scenario kind runs a tight steady-state loop with no fill,
-fetch-free or running-maximum tests inside it.
+fetch-free or running-maximum tests inside it (the folds live in
+:mod:`repro.dataflow.folds`).
+
+Fold executors
+--------------
+The scenarios' folds are independent, so a drain spreads them over
+``P = min(scenarios, CPUs in the affinity mask)`` executors — 1 inside
+a ``multiprocessing`` child, whose pool already uses every core.  This
+process is always one; the others are persistent worker processes
+(:mod:`repro.dataflow.folds` run as a script), started on first use
+and reused across drains.  This process executes, flags, precomputes
+and sends each block to the workers, then folds its own share; the
+share each executor gets follows the costs of the previous drain (see
+:func:`_split`).  With ``P = 1`` no worker starts and this process
+folds every scenario through the same :func:`folds.fold_block`.
 """
 
 from __future__ import annotations
 
+import atexit
+import marshal
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 from repro.baselines.ilr import reusability_flags
 from repro.core.stats import TraceIOStats
 from repro.core.traces import _fold_liveness
+from repro.dataflow import folds
 from repro.dataflow.model import Scenario, TimingResult
 from repro.isa.registers import MEM_LOC_BASE
 from repro.obs.telemetry import current as _telemetry
@@ -93,35 +114,202 @@ class StreamReusability:
         return 100.0 * self.reusable_count / self.total_count
 
 
-class _ScenarioState:
-    """Per-scenario fold state carried across blocks."""
+class FoldWorkerError(RuntimeError):
+    """A fold worker died, or broke the pipe protocol, mid-drain.
 
-    __slots__ = (
-        "scenario", "window", "ready", "ring", "room", "idx", "grad",
-        "best", "reused", "seconds",
-    )
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.window = scenario.window_size
-        #: completion time of each location's last writer so far (a
-        #: never-written location reads as 0.0)
-        self.ready: dict[int, float] = {}
-        self.ring: list[float] = []
-        self.room = self.window or 0
-        self.idx = 0
-        self.grad = 0.0
-        self.best = 0.0
-        self.reused = 0
-        self.seconds = 0.0
+    The drain is abandoned and every worker discarded; the next drain
+    starts fresh ones.
+    """
 
 
-class _Block:
-    """Shared (scenario-independent) precompute over one block."""
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 inside a ``multiprocessing``
+    child, whose pool already spreads work over every core."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - not on Linux
+        return os.cpu_count() or 1
 
-    __slots__ = (
-        "n", "lats", "flags", "prods", "span_ids", "gate_refs", "span_io",
-    )
+
+class _FoldWorker:
+    """One fold worker process (see :mod:`repro.dataflow.folds`).
+
+    Started from the module's file, not with ``-m``, so it imports
+    neither the ``repro`` package nor the caller's ``__main__``.  Its
+    pipes are unbuffered: a forked child can close them without
+    touching a buffer lock.
+    """
+
+    __slots__ = ("proc",)
+
+    def __init__(self) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", folds.__file__],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+
+    def _error(self) -> FoldWorkerError:
+        try:
+            code = self.proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            return FoldWorkerError(
+                f"fold worker {self.proc.pid} broke the pipe protocol")
+        return FoldWorkerError(
+            f"fold worker {self.proc.pid} exited with code {code} mid-drain")
+
+    def send(self, tag: bytes, payload: bytes) -> None:
+        try:
+            folds.write_frame(self.proc.stdin, tag, payload)
+        except OSError as exc:
+            raise self._error() from exc
+
+    def recv(self):
+        try:
+            frame = folds.read_frame(self.proc.stdout)
+        except OSError as exc:
+            raise self._error() from exc
+        if frame is None:
+            raise self._error()
+        return marshal.loads(frame[1])
+
+    def close_pipes(self) -> None:
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+    def kill(self) -> None:
+        self.close_pipes()
+        self.proc.kill()
+        self.proc.wait()
+
+
+#: This process's fold workers, started on first use and kept for
+#: later drains.
+_workers: list[_FoldWorker] = []
+#: Held by the drain that uses the workers; a drain running meanwhile
+#: in another thread folds every scenario itself.
+_workers_lock = threading.Lock()
+
+#: Costs measured in this process's previous drain, in seconds per
+#: instruction: each scenario's fold time, and each executor's non-fold
+#: busy time (index 0 is this process: execution, ILR flags, block
+#: precompute, span extraction and encoding the blocks).
+_fold_costs: dict[tuple, float] = {}
+_executor_costs: list[float] = []
+
+
+def _get_workers(count: int) -> list[_FoldWorker]:
+    while len(_workers) < count:
+        t0 = time.perf_counter()
+        try:
+            _workers.append(_FoldWorker())
+        except OSError as exc:
+            raise FoldWorkerError(f"cannot start a fold worker: {exc}") from exc
+        _telemetry().add_time("engine.fold_worker_start",
+                              time.perf_counter() - t0)
+    return _workers[:count]
+
+
+def _discard_workers() -> None:
+    while _workers:
+        _workers.pop().kill()
+
+
+def _forget_workers_after_fork() -> None:
+    # a forked child must not talk to its parent's workers, nor hold
+    # their pipes open: the parent's death must reach them as EOF
+    global _workers_lock
+    for worker in _workers:
+        worker.close_pipes()
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+atexit.register(_discard_workers)
+os.register_at_fork(after_in_child=_forget_workers_after_fork)
+
+
+def _split(specs: list[tuple], executors: int) -> list[list[int]]:
+    """Scenario indices per executor; executor 0 is this process.
+
+    Longest first, each scenario goes to the executor with the least
+    load, every executor starting at its own non-fold cost, all from
+    the previous drain.  Without a cost for every scenario the costs
+    count 1 each: an even split by count.  Ties go to a worker, so
+    this process takes the smallest share.
+    """
+    known = all(spec in _fold_costs for spec in specs)
+    cost = [_fold_costs[spec] if known else 1.0 for spec in specs]
+    load = [_executor_costs[e] if known and e < len(_executor_costs) else 0.0
+            for e in range(executors)]
+    shares: list[list[int]] = [[] for _ in range(executors)]
+    for i in sorted(range(len(specs)), key=cost.__getitem__, reverse=True):
+        e = min(range(executors), key=lambda e: (load[e], e == 0))
+        shares[e].append(i)
+        load[e] += cost[i]
+    return [sorted(share) for share in shares]
+
+
+class _Folder:
+    """One drain's fold executors: this process folds its share of the
+    scenarios while each worker folds its own."""
+
+    def __init__(self, specs: list[tuple], workers: list[_FoldWorker]):
+        self.specs = specs
+        #: scenario indices per executor; executor 0 is this process
+        self.shares = _split(specs, len(workers) + 1)
+        self.local = [folds.ScenarioState(*specs[i]) for i in self.shares[0]]
+        self.remote = [(e, worker) for e, worker in enumerate(workers, 1)
+                       if self.shares[e]]
+        #: seconds spent blocked on a full pipe or on the final gather
+        self.wait = 0.0
+        #: when the first block was ready: the workers idle until then
+        self.started = 0.0
+        for e, worker in self.remote:
+            worker.send(b"S", marshal.dumps([specs[i] for i in self.shares[e]]))
+
+    @property
+    def executors(self) -> int:
+        return 1 + len(self.remote)
+
+    def fold(self, pre: folds.Block) -> None:
+        """Ship ``pre`` to the workers, then fold the local share."""
+        if not self.started:
+            self.started = time.perf_counter()
+        if self.remote:
+            payload = folds.encode_block(pre)
+            t0 = time.perf_counter()
+            for _, worker in self.remote:
+                worker.send(b"B", payload)
+            self.wait += time.perf_counter() - t0
+        folds.fold_block(self.local, pre)
+
+    def gather(self, n: int) -> list[tuple[float, int, float]]:
+        """Every scenario's ``(best, reused, seconds)`` in input order;
+        keeps the costs the next drain splits by."""
+        rows: list = [None] * len(self.specs)
+        busy = [0.0] * len(self.shares)
+        t0 = time.perf_counter()
+        for _, worker in self.remote:
+            worker.send(b"E", b"")
+        for e, worker in self.remote:
+            got, busy[e] = worker.recv()
+            for i, row in zip(self.shares[e], got):
+                rows[i] = row
+        self.wait += time.perf_counter() - t0
+        for i, st in zip(self.shares[0], self.local):
+            rows[i] = (st.best, st.reused, st.seconds)
+        if n:
+            busy[0] = time.perf_counter() - self.started - self.wait
+            for e, share in enumerate(self.shares):
+                busy[e] -= sum(rows[i][2] for i in share)
+            _fold_costs.update(
+                (spec, row[2] / n) for spec, row in zip(self.specs, rows))
+            _executor_costs[:] = [b / n for b in busy]
+        return rows
 
 
 class StreamingDataflowEngine:
@@ -141,8 +329,12 @@ class StreamingDataflowEngine:
     ``span_covered``, ``avg_span_length`` and ``io_stats``
     (:class:`repro.core.stats.TraceIOStats`) — each bit-identical to
     its materialized counterpart.  Each scenario's fold time goes to
-    the current telemetry registry as an ``engine.<kind>`` timer, and
-    the analysed instructions to ``engine.instructions_analyzed``.
+    the current telemetry registry as an ``engine.<kind>`` timer,
+    wherever it was folded, and the analysed instructions to
+    ``engine.instructions_analyzed``.  Each drain also adds its
+    executor count to ``engine.fold_executors`` and the time spent
+    waiting on workers to the ``engine.fold_wait`` timer; a worker
+    start is timed as ``engine.fold_worker_start``.
     """
 
     def __init__(self, traceish, *,
@@ -164,7 +356,45 @@ class StreamingDataflowEngine:
     # ------------------------------------------------------------------
     def analyze_all(self, scenarios: Sequence[Scenario]) -> list[TimingResult]:
         """Evaluate every scenario in one pass; order matches the input."""
-        states = [_ScenarioState(s) for s in scenarios]
+        specs = [(s.kind, s.window_size, s.latency, s.k, s.fetch_free)
+                 for s in scenarios]
+        executors = max(1, min(len(specs), _cpu_count()))
+        if executors > 1 and not _workers_lock.acquire(blocking=False):
+            executors = 1  # another thread's drain holds the workers
+        try:
+            folder = _Folder(specs, _get_workers(executors - 1))
+            self._drain(folder)
+            rows = folder.gather(self.n)
+        except BaseException:
+            if executors > 1:
+                # mid-protocol workers cannot be trusted with a new drain
+                _discard_workers()
+            raise
+        finally:
+            if executors > 1:
+                _workers_lock.release()
+
+        n = self.n
+        registry = _telemetry()
+        registry.incr("engine.fold_executors", folder.executors)
+        registry.add_time("engine.fold_wait", folder.wait)
+        results = []
+        for sc, (best, reused, seconds) in zip(scenarios, rows):
+            registry.add_time(f"engine.{sc.kind}", seconds)
+            registry.incr("engine.instructions_analyzed", n)
+            if sc.kind == "tlr" and sc.fetch_free:
+                # every span instruction is reused by definition
+                reused = self.span_covered
+            results.append(TimingResult(
+                instruction_count=n,
+                total_cycles=max(best, 1.0) if n else 0.0,
+                window_size=sc.window_size,
+                reused_count=reused,
+            ))
+        return results
+
+    def _drain(self, folder: _Folder) -> None:
+        """Drain the stream once, handing each block to ``folder``."""
         # reset accumulators (the stream is re-iterable, so is this)
         self.n = 0
         self.span_count = 0
@@ -195,7 +425,7 @@ class StreamingDataflowEngine:
                 start = first + 1
                 extend_columnar(tail, slice_columnar(chunk, 0, start))
                 tail_flags += flags[:start]
-                self._process_block(tail, 0, len(tail), tail_flags, states)
+                self._process_block(tail, 0, len(tail), tail_flags, folder)
                 tail = None
             while start < nc:
                 # cut after the last non-reusable instruction within the
@@ -205,7 +435,7 @@ class StreamingDataflowEngine:
                     cut = flags.find(0, start + BLOCK_CAP)
                     if cut < 0:
                         break
-                self._process_block(chunk, start, cut + 1, flags, states)
+                self._process_block(chunk, start, cut + 1, flags, folder)
                 start = cut + 1
             if start < nc:
                 # fresh copies: safe to keep extending in place
@@ -213,7 +443,7 @@ class StreamingDataflowEngine:
                 tail_flags = flags[start:]
 
         if tail is not None:
-            self._process_block(tail, 0, len(tail), tail_flags, states)
+            self._process_block(tail, 0, len(tail), tail_flags, folder)
 
         self.reuse = StreamReusability(
             reusable_count=reusable,
@@ -223,25 +453,6 @@ class StreamingDataflowEngine:
             signature_count=self.n - reusable,
         )
         self._finalize_span_stats()
-        n = self.n
-        registry = _telemetry()
-        results = []
-        for st in states:
-            sc = st.scenario
-            registry.add_time(f"engine.{sc.kind}", st.seconds)
-            registry.incr("engine.instructions_analyzed", n)
-            if sc.kind == "tlr" and sc.fetch_free:
-                # every span instruction is reused by definition
-                reused = self.span_covered
-            else:
-                reused = st.reused
-            results.append(TimingResult(
-                instruction_count=n,
-                total_cycles=max(st.best, 1.0) if n else 0.0,
-                window_size=sc.window_size,
-                reused_count=reused,
-            ))
-        return results
 
     # ------------------------------------------------------------------
     def _finalize_span_stats(self) -> None:
@@ -272,7 +483,7 @@ class StreamingDataflowEngine:
 
     # ------------------------------------------------------------------
     def _process_block(self, seg: ColumnarTrace, start: int, stop: int,
-                       flags: bytearray, states: list[_ScenarioState]) -> None:
+                       flags: bytearray, folder: _Folder) -> None:
         """Precompute instructions ``[start, stop)`` of ``seg`` once, then
         fold every scenario over them."""
         n = stop - start
@@ -352,7 +563,7 @@ class StreamingDataflowEngine:
                 writer[wl[wa]] = j
                 wa += 1
 
-        pre = _Block()
+        pre = folds.Block()
         pre.n = n
         pre.lats = seg.lats[start:stop]
         pre.flags = flags[start:stop]
@@ -360,404 +571,10 @@ class StreamingDataflowEngine:
         pre.span_ids = span_ids
         pre.gate_refs = gate_refs
         pre.span_io = span_io
+        pre.seeds = seeds
         # block-end state, shared by every scenario: each location
         # written in the block -> the comp index of its last writer
         written = {loc: j for loc, j in writer.items() if j >= m}
-        written_refs = list(written.values())
-        zeros = repeat(0.0)
-
-        clock = time.perf_counter
-        for st in states:
-            t0 = clock()
-            ready = st.ready
-            comp = list(map(ready.get, seeds, zeros))
-            kind = st.scenario.kind
-            if kind == "base":
-                _fold_base(st, pre, comp)
-            elif kind == "ilr":
-                _fold_ilr(st, pre, comp)
-            else:
-                _fold_tlr(st, pre, comp)
-            # the seeds are earlier completions (or 0.0), never above
-            # the running best, so the whole-list max is exact
-            best = max(comp)
-            if best > st.best:
-                st.best = best
-            ready.update(zip(written, map(comp.__getitem__, written_refs)))
-            st.seconds += clock() - t0
-
-
-# ----------------------------------------------------------------------
-# scenario folds.  Each appends the block's completions to comp.  A
-# windowed scenario first runs _fill while its window has empty slots;
-# the steady-state loops after it exploit the ring identity
-# ``(fetched - W) % W == fetched % W``: the gate entry is exactly the
-# slot the current graduation time is about to overwrite.
-# ----------------------------------------------------------------------
-
-def _ready(comp: list[float], p) -> float:
-    """Latest completion among the producers ``p`` refers to."""
-    if p is None:
-        return 0.0
-    if type(p) is int:
-        return comp[p]
-    s = 0.0
-    for q in p:
-        t = comp[q]
-        if t > s:
-            s = t
-    return s
-
-
-def _span_lats(scenario: Scenario, pre: _Block) -> list[float]:
-    if scenario.k is not None:
-        k = scenario.k
-        return [k * (i + o) for i, o in pre.span_io]
-    return [scenario.latency] * len(pre.span_io)
-
-
-def _fill(st: _ScenarioState, pre: _Block, comp: list[float],
-          span_lats: list[float] | None) -> int:
-    """Fold leading instructions while the window still has empty
-    slots (no gate yet); returns how many instructions were folded.
-
-    Fetch-free span instructions take no slot, so the fill can end at
-    any point of the block; every scenario kind shares this loop.
-    """
-    sc = st.scenario
-    kind = sc.kind
-    latency = sc.latency
-    fetch_free = kind == "tlr" and sc.fetch_free
-    ring = st.ring
-    grad = st.grad
-    room = st.room
-    reused = st.reused
-    cur_sid = -1
-    cur_reused = 0.0
-    j = 0
-    n = pre.n
-    while room and j < n:
-        s = _ready(comp, pre.prods[j])
-        c = s + pre.lats[j]
-        takes_slot = True
-        if kind == "ilr":
-            if pre.flags[j]:
-                rc = s + latency
-                if rc < c:
-                    c = rc
-                    reused += 1
-        elif kind == "tlr":
-            sid = pre.span_ids[j]
-            if sid >= 0:
-                if sid != cur_sid:
-                    cur_sid = sid
-                    cur_reused = (_ready(comp, pre.gate_refs[sid])
-                                  + span_lats[sid])
-                if cur_reused < c:
-                    c = cur_reused
-                    if not fetch_free:
-                        reused += 1
-                takes_slot = not fetch_free
-        if c > grad:
-            grad = c
-        if takes_slot:
-            ring.append(grad)
-            room -= 1
-        comp.append(c)
-        j += 1
-    st.grad = grad
-    st.room = room
-    st.reused = reused
-    return j
-
-
-def _fold_base(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
-    window = st.window
-    prods = pre.prods
-    lats = pre.lats
-    append = comp.append
-    if st.room:
-        j = _fill(st, pre, comp, None)
-        prods = prods[j:]
-        lats = lats[j:]
-    if not window:
-        for p, lat in zip(prods, lats):
-            if type(p) is int:
-                s = comp[p]
-            elif type(p) is tuple:
-                s = comp[p[0]]
-                t = comp[p[1]]
-                if t > s:
-                    s = t
-            elif p is None:
-                s = 0.0
-            else:
-                s = 0.0
-                for q in p:
-                    t = comp[q]
-                    if t > s:
-                        s = t
-            append(s + lat)
-        return
-    ring = st.ring
-    grad = st.grad
-    idx = st.idx
-    for p, lat in zip(prods, lats):
-        if type(p) is int:
-            s = comp[p]
-        elif type(p) is tuple:
-            s = comp[p[0]]
-            t = comp[p[1]]
-            if t > s:
-                s = t
-        elif p is None:
-            s = 0.0
-        else:
-            s = 0.0
-            for q in p:
-                t = comp[q]
-                if t > s:
-                    s = t
-        gate = ring[idx]
-        if gate > s:
-            s = gate
-        c = s + lat
-        if c > grad:
-            grad = c
-        ring[idx] = grad
-        idx += 1
-        if idx == window:
-            idx = 0
-        append(c)
-    st.grad = grad
-    st.idx = idx
-
-
-def _fold_ilr(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
-    window = st.window
-    latency = st.scenario.latency
-    prods = pre.prods
-    lats = pre.lats
-    flags = pre.flags
-    append = comp.append
-    if st.room:
-        j = _fill(st, pre, comp, None)
-        prods = prods[j:]
-        lats = lats[j:]
-        flags = flags[j:]
-    reused = st.reused
-    if not window:
-        # reuse start == normal start, so a flagged instruction
-        # completes at start + min(latency, own latency)
-        for p, lat, flag in zip(prods, lats, flags):
-            if type(p) is int:
-                s = comp[p]
-            elif type(p) is tuple:
-                s = comp[p[0]]
-                t = comp[p[1]]
-                if t > s:
-                    s = t
-            elif p is None:
-                s = 0.0
-            else:
-                s = 0.0
-                for q in p:
-                    t = comp[q]
-                    if t > s:
-                        s = t
-            c = s + lat
-            if flag:
-                rc = s + latency
-                if rc < c:
-                    c = rc
-                    reused += 1
-            append(c)
-        st.reused = reused
-        return
-    ring = st.ring
-    grad = st.grad
-    idx = st.idx
-    for p, lat, flag in zip(prods, lats, flags):
-        if type(p) is int:
-            s = comp[p]
-        elif type(p) is tuple:
-            s = comp[p[0]]
-            t = comp[p[1]]
-            if t > s:
-                s = t
-        elif p is None:
-            s = 0.0
-        else:
-            s = 0.0
-            for q in p:
-                t = comp[q]
-                if t > s:
-                    s = t
-        if flag:
-            # the reuse start is taken *before* the window gate
-            rc = s + latency
-            gate = ring[idx]
-            if gate > s:
-                s = gate
-            c = s + lat
-            if rc < c:
-                c = rc
-                reused += 1
-        else:
-            gate = ring[idx]
-            if gate > s:
-                s = gate
-            c = s + lat
-        if c > grad:
-            grad = c
-        ring[idx] = grad
-        idx += 1
-        if idx == window:
-            idx = 0
-        append(c)
-    st.grad = grad
-    st.idx = idx
-    st.reused = reused
-
-
-def _fold_tlr(st: _ScenarioState, pre: _Block, comp: list[float]) -> None:
-    window = st.window
-    span_lats = _span_lats(st.scenario, pre)
-    prods = pre.prods
-    lats = pre.lats
-    span_ids = pre.span_ids
-    gate_refs = pre.gate_refs
-    append = comp.append
-    if st.room:
-        j = _fill(st, pre, comp, span_lats)
-        prods = prods[j:]
-        lats = lats[j:]
-        span_ids = span_ids[j:]
-    reused = st.reused
-    cur_sid = -1
-    cur_reused = 0.0
-    if not window:
-        # fetch-free or not, nothing is gated: the scenarios differ only
-        # in the reuse count, which is the span coverage when fetch-free
-        for p, lat, sid in zip(prods, lats, span_ids):
-            if type(p) is int:
-                s = comp[p]
-            elif type(p) is tuple:
-                s = comp[p[0]]
-                t = comp[p[1]]
-                if t > s:
-                    s = t
-            elif p is None:
-                s = 0.0
-            else:
-                s = 0.0
-                for q in p:
-                    t = comp[q]
-                    if t > s:
-                        s = t
-            c = s + lat
-            if sid >= 0:
-                if sid != cur_sid:
-                    g = 0.0
-                    for q in gate_refs[sid]:
-                        t = comp[q]
-                        if t > g:
-                            g = t
-                    cur_sid = sid
-                    cur_reused = g + span_lats[sid]
-                if cur_reused < c:
-                    c = cur_reused
-                    reused += 1
-            append(c)
-        st.reused = reused
-        return
-    ring = st.ring
-    grad = st.grad
-    idx = st.idx
-    if st.scenario.fetch_free:
-        # span instructions are not fetched: no window gate, no slot
-        for p, lat, sid in zip(prods, lats, span_ids):
-            if type(p) is int:
-                s = comp[p]
-            elif type(p) is tuple:
-                s = comp[p[0]]
-                t = comp[p[1]]
-                if t > s:
-                    s = t
-            elif p is None:
-                s = 0.0
-            else:
-                s = 0.0
-                for q in p:
-                    t = comp[q]
-                    if t > s:
-                        s = t
-            if sid < 0:
-                gate = ring[idx]
-                if gate > s:
-                    s = gate
-                c = s + lat
-                if c > grad:
-                    grad = c
-                ring[idx] = grad
-                idx += 1
-                if idx == window:
-                    idx = 0
-            else:
-                if sid != cur_sid:
-                    g = 0.0
-                    for q in gate_refs[sid]:
-                        t = comp[q]
-                        if t > g:
-                            g = t
-                    cur_sid = sid
-                    cur_reused = g + span_lats[sid]
-                c = s + lat
-                if cur_reused < c:
-                    c = cur_reused
-                if c > grad:
-                    grad = c
-            append(c)
-    else:
-        for p, lat, sid in zip(prods, lats, span_ids):
-            if type(p) is int:
-                s = comp[p]
-            elif type(p) is tuple:
-                s = comp[p[0]]
-                t = comp[p[1]]
-                if t > s:
-                    s = t
-            elif p is None:
-                s = 0.0
-            else:
-                s = 0.0
-                for q in p:
-                    t = comp[q]
-                    if t > s:
-                        s = t
-            gate = ring[idx]
-            if gate > s:
-                s = gate
-            c = s + lat
-            if sid >= 0:
-                if sid != cur_sid:
-                    g = 0.0
-                    for q in gate_refs[sid]:
-                        t = comp[q]
-                        if t > g:
-                            g = t
-                    cur_sid = sid
-                    cur_reused = g + span_lats[sid]
-                if cur_reused < c:
-                    c = cur_reused
-                    reused += 1
-            if c > grad:
-                grad = c
-            ring[idx] = grad
-            idx += 1
-            if idx == window:
-                idx = 0
-            append(c)
-    st.grad = grad
-    st.idx = idx
-    st.reused = reused
+        pre.written = list(written)
+        pre.written_refs = list(written.values())
+        folder.fold(pre)

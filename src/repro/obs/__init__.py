@@ -15,7 +15,9 @@ persistent (the trace cache); this package makes it *watchable* and
 
 The dataflow engine reports each scenario's fold time as an
 ``engine.<kind>`` timer and the instructions it analysed as the
-``engine.instructions_analyzed`` counter, on every run.
+``engine.instructions_analyzed`` counter, on every run, with its fold
+split: the ``engine.fold_executors`` counter and the
+``engine.fold_wait`` and ``engine.fold_worker_start`` timers.
 """
 
 from __future__ import annotations

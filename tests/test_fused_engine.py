@@ -87,11 +87,15 @@ def assert_matches_oracle(stream, results, scens):
 def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size,
                                                  cap):
     """Any chunking and any block cap — including streams many times
-    longer than the cap — give the oracle's numbers."""
-    with mock.patch.object(streaming, "BLOCK_CAP", cap):
-        engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
-        results = engine.analyze_all(scens)
-    assert_matches_oracle(stream, results, scens)
+    longer than the cap — give the oracle's numbers, folded in this
+    process alone or split with a worker process."""
+    for executors in (1, 2):
+        with mock.patch.object(streaming, "BLOCK_CAP", cap), \
+                mock.patch.object(streaming, "_cpu_count",
+                                  lambda: executors):
+            engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
+            results = engine.analyze_all(scens)
+        assert_matches_oracle(stream, results, scens)
     reuse = instruction_reusability(stream)
     spans = maximal_reusable_spans(stream, reuse.flags)
     assert engine.reuse.reusable_count == reuse.reusable_count

@@ -378,3 +378,37 @@ class TestEngineProfilingHooks:
         assert calls == scenarios
         assert snap["counters"]["engine.instructions_analyzed"] == (
             500 * scenarios)
+
+    def test_fold_split_reaches_manifest_and_obs_show(self, cache_dir,
+                                                      monkeypatch, capsys):
+        """Scenarios folded by a worker still report ``engine.<kind>``
+        time, next to the executor count, the time spent waiting on the
+        workers and the one-off worker start."""
+        from repro.cli import main
+        from repro.dataflow import streaming
+        from repro.exp.runner import collect_profiles, profile_scenarios
+
+        streaming._discard_workers()
+        monkeypatch.setattr(streaming, "_cpu_count", lambda: 2)
+        config = ExperimentConfig(max_instructions=500, workloads=("li",),
+                                  max_workers=1, use_cache=False)
+        try:
+            run = collect_profiles(config, manifest=True)
+        finally:
+            streaming._discard_workers()
+        assert run.ok
+        events, _ = obs.read_manifest(run.manifest_path)
+        summary = obs.summarize(events)
+        assert summary["counters"]["engine.fold_executors"] == 2
+        timers = summary["timers"]
+        assert timers["engine.fold_worker_start"]["calls"] == 1
+        assert timers["engine.fold_wait"]["calls"] == 1
+        calls = sum(timers[f"engine.{kind}"]["calls"]
+                    for kind in ("base", "ilr", "tlr"))
+        assert calls == len(profile_scenarios(config))
+
+        assert main(["obs", "show"]) == 0
+        out = capsys.readouterr().out
+        for name in ("engine.fold_executors", "engine.fold_wait",
+                     "engine.fold_worker_start", "engine.tlr"):
+            assert name in out

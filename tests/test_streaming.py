@@ -180,11 +180,17 @@ class TestStreamingProfiles:
         use_cache=False,
     )
 
-    def test_profiles_bit_identical_all_kernels(self):
+    def test_profiles_bit_identical_all_kernels(self, monkeypatch):
+        """Bit-identical to the oracle however many processes fold."""
+        from repro.dataflow import streaming
+
         for name in KERNELS:
-            a = run_profile(name, self.CONFIG)
-            b = run_profile_reference(name, self.CONFIG)
-            assert dataclasses.asdict(a) == dataclasses.asdict(b), name
+            b = dataclasses.asdict(run_profile_reference(name, self.CONFIG))
+            for executors in (1, 2, 3):
+                monkeypatch.setattr(streaming, "_cpu_count",
+                                    lambda: executors)
+                a = run_profile(name, self.CONFIG)
+                assert dataclasses.asdict(a) == b, (name, executors)
 
     def test_chunk_size_invariance(self):
         a = run_profile("go", self.CONFIG)
