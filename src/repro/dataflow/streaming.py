@@ -174,11 +174,8 @@ class _FoldWorker:
         return marshal.loads(frame[1])
 
     def close_pipes(self) -> None:
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            try:
-                pipe.close()
-            except OSError:
-                pass
+        self.proc.stdin.close()
+        self.proc.stdout.close()
 
     def kill(self) -> None:
         self.close_pipes()

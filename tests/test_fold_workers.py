@@ -156,13 +156,15 @@ class TestWorkerFailure:
             SCENARIOS) == expected
         assert len(streaming._workers) == 1
 
-    def test_worker_killed_before_the_gather(self, executors, trace):
+    def test_worker_crashing_on_a_frame(self, executors, monkeypatch,
+                                        trace):
+        """A worker that raises exits with status 1; the engine reports
+        that as the same typed error."""
         executors(2)
-        chunks = -(-len(trace) // 1_000)
-        engine = StreamingDataflowEngine(
-            _KillWorkerStream(trace, after=chunks - 1))
-        with pytest.raises(FoldWorkerError):
-            engine.analyze_all(SCENARIOS)
+        monkeypatch.setattr(streaming.folds, "encode_block",
+                            lambda pre: b"not a block")
+        with pytest.raises(FoldWorkerError, match="exited with code 1"):
+            StreamingDataflowEngine(trace).analyze_all(SCENARIOS)
         assert streaming._workers == []
 
     def test_collect_profiles_retries_a_dead_worker(self, executors,
