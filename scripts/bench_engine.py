@@ -46,9 +46,11 @@ execution wall time (fresh-process best-of-2), execute+encode wall
 time (the incremental v3 writer), and the tee'd cold run
 (execute+encode+analyze in one drain of every scenario a profile
 folds, cache entry persisted, with the number of fold executors the
-drain used), plus an identity check at ``--verify-budget``: the tee'd
-results against the per-scenario ``DataflowModel`` oracle, and the
-tee'd cache entry byte for byte against
+drain used and the time of its ILR signature check and block
+precompute, read from the engine's ``engine.ilr_flags`` and
+``engine.precompute`` telemetry timers), plus an identity check at
+``--verify-budget``: the tee'd results against the per-scenario
+``DataflowModel`` oracle, and the tee'd cache entry byte for byte against
 ``write_stream(ExecutionChunkStream)``.  Ratio gates keep it
 machine-independent: encode overhead (write/exec wall) must stay under
 3x and every identity check must hold; ``cold_vs_exec`` is
@@ -450,6 +452,9 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
             engine.analyze_all(scenarios)
             cold_s = time.perf_counter() - start
         fold_executors = registry.counters["engine.fold_executors"]
+        # the shared layers, as the engine's own telemetry times them
+        shared = {name: registry.timers[f"engine.{name}"][0]
+                  for name in ("ilr_flags", "precompute")}
         persisted = bool(getattr(tee, "persisted", False))
 
         # identity at a budget small enough to hold the materialized
@@ -489,6 +494,10 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
             "encode_overhead_vs_exec": round(encode_overhead, 3),
             "cold_vs_exec": round(cold_s / exec_s, 3),
             "fold_executors": fold_executors,
+            "ilr_flags_seconds": round(shared["ilr_flags"], 4),
+            "ilr_flags_ns_per_instr": round(shared["ilr_flags"] * 1e9 / n),
+            "precompute_seconds": round(shared["precompute"], 4),
+            "precompute_ns_per_instr": round(shared["precompute"] * 1e9 / n),
             "analyze_seconds": round(cold_s - write_s, 4),
             "bit_identical": identical,
             "tee_persisted": persisted,

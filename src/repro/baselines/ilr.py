@@ -12,12 +12,19 @@ instructions, including memory accesses").
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dataflow.model import ReusePoint
 from repro.vm.trace import AnyTrace, ColumnarTrace, DynInst, stream_of
+
+#: Most instructions one signature pass keys at once: bounds the pass's
+#: numpy temporaries whatever the segment size.
+SLICE_CAP = 8192
 
 
 @dataclass(slots=True)
@@ -56,24 +63,25 @@ def instruction_reusability(
     """
     from repro.vm.tracestream import is_chunk_stream
 
-    history: dict[int, set] = {}
     if isinstance(trace, ColumnarTrace) or is_chunk_stream(trace):
         if isinstance(trace, ColumnarTrace):
             segments = [trace]
         else:
             segments = trace.chunks()
+        table = SignatureHistory()
         packed = bytearray()
         for segment in segments:
-            packed += reusability_flags(segment, history)
+            packed += reusability_flags(segment, table)
         reusable = packed.count(1)
         return ReusabilityResult(
             flags=list(map(bool, packed)),
             reusable_count=reusable,
             total_count=len(packed),
-            static_count=len(history),
+            static_count=table.static_count,
             # every non-reusable instance records one new signature
             signature_count=len(packed) - reusable,
         )
+    history: dict[int, set] = {}
     instructions = stream_of(trace)
     flags: list[bool] = []
     reusable = 0
@@ -100,36 +108,227 @@ def instruction_reusability(
     )
 
 
+class SignatureHistory:
+    """The infinite ILR table of a columnar pass: every ``(pc, input
+    signature)`` seen so far, shared by the segments of one stream.
+
+    ``keys`` holds one key per distinct signature (see
+    :func:`reusability_flags`); ``pcs`` the distinct static
+    instructions.
+    """
+
+    __slots__ = ("keys", "pcs")
+
+    def __init__(self) -> None:
+        self.keys: set = set()
+        self.pcs: set[int] = set()
+
+    @property
+    def static_count(self) -> int:
+        """Distinct static instructions observed."""
+        return len(self.pcs)
+
+
 def reusability_flags(
-    segment: ColumnarTrace, history: dict[int, set]
+    segment: ColumnarTrace, history: SignatureHistory
 ) -> bytearray:
     """Reusability flags (one byte each) of one columnar segment.
 
-    ``history`` maps each pc to the input signatures seen so far and is
-    updated in place, so folding a stream's segments through one table
-    gives the whole-stream flags.  A signature is the pair of the read
-    location and value tuples, which discriminates exactly like the row
-    layout's pair tuples.  The loop is deliberately scalar: Python set
-    membership treats 1 and 1.0 as the same signature, which a
-    bit-level batch encoding of the value columns would split.
+    ``history`` is updated in place, so folding a stream's segments
+    through one table gives the whole-stream flags, equal to
+    :func:`instruction_reusability` on the rows.
+
+    The pass runs in numpy over slices of at most :data:`SLICE_CAP`
+    instructions.  Each read value gets a canonical int64 key that
+    preserves Python equality: an int in the int64 range, and an
+    integral float in that range (``-0.0`` included), keys as the
+    integer, so ``1`` and ``1.0`` share a key; any other float keys as
+    its bits, with a tag bit that keeps it apart from the integers.
+    An instruction with ``c`` reads becomes the fixed-width row
+    ``(pc, locs, keys, tags << 8 | c)``; the width depends on ``c``
+    alone, never on where a stream is cut.  Rows are hashed to 64 bits
+    and deduplicated within the slice; hash-equal rows are compared
+    exactly, and a slice group where they differ (a collision) falls
+    back to one key per row.  Python key objects (the row bytes) are
+    made only for a slice's distinct rows.
+
+    A row holding a value with no canonical key — a NaN, an int beyond
+    int64, an integral float of magnitude at least 2**63, or a
+    non-numeric value — or more than :data:`_MAX_KEYED_READS` reads
+    keys as the exact tuple ``(pc, locs, values)`` in the same set.
+    Such a value equals no canonically keyed one, so every row still
+    matches exactly the rows it equals under Python's ``==``.
     """
-    pcs = segment.pcs
-    rb, rl, rv = segment.read_bounds, segment.read_locs, segment.read_vals
-    history_get = history.get
-    flags = bytearray(len(pcs))
-    a = 0
-    for i, pc in enumerate(pcs):
-        b = rb[i + 1]
-        seen = history_get(pc)
-        if seen is None:
-            seen = history[pc] = set()
-        sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-        if sig in seen:
-            flags[i] = 1
-        else:
-            seen.add(sig)
-        a = b
+    n = len(segment.pcs)
+    flags = bytearray(n)
+    if not n:
+        return flags
+    out = np.frombuffer(flags, np.uint8)
+    pcs = np.frombuffer(segment.pcs, "i")
+    bounds = np.frombuffer(segment.read_bounds, "I")
+    locs = np.frombuffer(segment.read_locs, "q")
+    vals = segment.read_vals
+    for a in range(0, n, SLICE_CAP):
+        b = min(a + SLICE_CAP, n)
+        ra, rb = int(bounds[a]), int(bounds[b])
+        _flag_slice(pcs[a:b], bounds[a:b + 1].astype(np.intp) - ra,
+                    locs[ra:rb], vals[ra:rb], history.keys, out[a:b])
+        history.pcs.update(np.unique(pcs[a:b]).tolist())
     return flags
+
+
+#: Rows with more reads than this key exactly: the tag word holds one
+#: float-bits tag per read above the count byte.
+_MAX_KEYED_READS = 48
+_TWO53 = 2.0 ** 53
+_TWO63 = 2.0 ** 63
+_F8 = struct.Struct("<d")
+_I8 = struct.Struct("<q")
+_HASH_SEED = 0x243F6A8885A308D3
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(29)
+
+
+def _plain(v):
+    """The int or float equal to ``v``, or ``v`` itself if none is."""
+    for cast in (int, float):
+        try:
+            w = cast(v)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if w == v:
+            return w
+    return v
+
+
+def _scalar_key(v) -> tuple[int, bool] | None:
+    """``(key, is_float_bits)`` of one value, or None when it has no
+    canonical key."""
+    if type(v) is not int and type(v) is not float:
+        v = _plain(v)
+    if type(v) is int:
+        return (v, False) if -(1 << 63) <= v < (1 << 63) else None
+    if type(v) is float:
+        if v.is_integer():
+            return (int(v), False) if -_TWO63 <= v < _TWO63 else None
+        if v == v:
+            return _I8.unpack(_F8.pack(v))[0], True
+    return None
+
+
+def _value_keys(vals: list):
+    """Canonical keys of a value column: ``(keys, float_bits, exact)``.
+
+    ``keys`` is int64 and ``float_bits`` bool, one per value;
+    ``exact`` marks the values without a canonical key, or is None when
+    there are none.  Ints and floats below 2**53 in magnitude convert
+    exactly, so numpy keys them; the rest go through
+    :func:`_scalar_key`.
+    """
+    k = len(vals)
+    try:
+        arr = np.array(vals)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.empty(0, object)
+    kind, size = arr.dtype.kind, arr.dtype.itemsize
+    if arr.shape == (k,) and (kind in "bi" or (kind == "u" and size < 8)):
+        return arr.astype(np.int64, copy=False), np.zeros(k, bool), None
+    if arr.shape == (k,) and kind == "f" and size <= 8:
+        f = arr.astype(np.float64, copy=False)
+        with np.errstate(invalid="ignore"):
+            small = np.abs(f) < _TWO53
+            as_int = small & (np.trunc(f) == f)
+        keys = f.view(np.int64).copy()
+        keys[as_int] = f[as_int].astype(np.int64)
+        float_bits = ~as_int
+        odd = np.flatnonzero(~small).tolist()
+    else:
+        keys = np.zeros(k, np.int64)
+        float_bits = np.zeros(k, bool)
+        odd = range(k)
+    exact = None
+    for s in odd:
+        key = _scalar_key(vals[s])
+        if key is None:
+            if exact is None:
+                exact = np.zeros(k, bool)
+            exact[s] = True
+        else:
+            keys[s], float_bits[s] = key
+    return keys, float_bits, exact
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of an int64 matrix."""
+    h = np.full(len(rows), _HASH_SEED, np.uint64)
+    for col in rows.view(np.uint64).T:
+        h ^= col
+        h *= _HASH_MUL
+        h ^= h >> _HASH_SHIFT
+    return h
+
+
+def _flag_slice(pcs, bounds, locs, vals: list, keys: set,
+                out: np.ndarray) -> None:
+    """Flag one slice into ``out``; ``bounds`` are slice-relative."""
+    vkeys, float_bits, exact = _value_keys(vals)
+    counts = np.diff(bounds)
+    if exact is None:
+        exact_rows = counts > _MAX_KEYED_READS
+    else:
+        seen = np.concatenate(([0], np.cumsum(exact)))
+        exact_rows = (seen[bounds[1:]] > seen[bounds[:-1]]) | (
+            counts > _MAX_KEYED_READS)
+    for c in np.flatnonzero(np.bincount(counts[~exact_rows])).tolist():
+        rows = np.flatnonzero((counts == c) & ~exact_rows)
+        matrix = np.empty((len(rows), 2 * c + 2), np.int64)
+        matrix[:, 0] = pcs[rows]
+        slots = bounds[rows, None] + np.arange(c)
+        matrix[:, 1:c + 1] = locs[slots]
+        matrix[:, c + 1:2 * c + 1] = vkeys[slots]
+        matrix[:, -1] = (float_bits[slots] << np.arange(8, 8 + c)).sum(
+            axis=1) | c
+        _flag_rows(matrix, keys, rows, out)
+    for i in np.flatnonzero(exact_rows).tolist():
+        a, b = bounds[i], bounds[i + 1]
+        key = (int(pcs[i]), tuple(locs[a:b].tolist()), tuple(vals[a:b]))
+        if key in keys:
+            out[i] = 1
+        else:
+            keys.add(key)
+
+
+def _flag_rows(matrix: np.ndarray, keys: set, rows: np.ndarray,
+               out: np.ndarray) -> None:
+    """Flag the rows of one equal-width ``matrix`` (stream order) into
+    ``out[rows]``: a row is reusable when its key was seen before."""
+    k, width = matrix.shape
+    h = _row_hash(matrix)
+    order = np.argsort(h)
+    fresh = np.empty(k, bool)
+    fresh[:1] = True
+    sorted_h = h[order]
+    np.not_equal(sorted_h[1:], sorted_h[:-1], out=fresh[1:])
+    # first (stream-order) row of each hash, and each row's first twin
+    first = np.minimum.reduceat(order, np.flatnonzero(fresh))
+    group = np.empty(k, np.intp)
+    group[order] = np.cumsum(fresh) - 1
+    twin = first[group]
+    if (matrix == matrix[twin]).all():
+        row_keys = np.ascontiguousarray(matrix[first]).view(
+            f"V{8 * width}").ravel().tolist()
+        before = np.fromiter(map(keys.__contains__, row_keys), bool,
+                             len(row_keys))
+        keys.update(row_keys)
+        out[rows] = (twin != np.arange(k)) | before[group]
+        return
+    # a 64-bit collision: key every row on its own
+    row_keys = matrix.view(f"V{8 * width}").ravel().tolist()
+    for i, key in zip(rows.tolist(), row_keys):
+        if key in keys:
+            out[i] = 1
+        else:
+            keys.add(key)
 
 
 def reusability_by_class(

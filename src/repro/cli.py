@@ -454,12 +454,41 @@ def _cmd_obs(args) -> int:
              for name, entry in sorted(summary["timers"].items())],
             title="Stage timers",
         ))
+    layers = _engine_layer_rows(summary)
+    if layers:
+        print()
+        print(format_table(["layer", "timer", "seconds", "ns/instr"], layers,
+                           title="Engine layers"))
     failed = [n for n, k in summary["kernels"].items()
               if k["status"] == "failed"]
     if failed:
         print()
         print(f"failed kernels: {', '.join(failed)}")
     return 0
+
+
+#: The streaming engine's layers, by the telemetry timer that times each.
+_ENGINE_LAYERS = (
+    ("ILR signature check", "engine.ilr_flags"),
+    ("block precompute and spans", "engine.precompute"),
+    ("base folds", "engine.base"),
+    ("ILR folds", "engine.ilr"),
+    ("TLR folds", "engine.tlr"),
+)
+
+
+def _engine_layer_rows(summary) -> list[list]:
+    """One row per engine layer a run timed, with its cost per drained
+    instruction (folds: all scenarios of the kind together)."""
+    instructions = summary["counters"].get("engine.instructions")
+    if not instructions:
+        return []
+    return [
+        [label, name, f"{entry['seconds']:.3f}",
+         f"{entry['seconds'] * 1e9 / instructions:.0f}"]
+        for label, name in _ENGINE_LAYERS
+        if (entry := summary["timers"].get(name)) is not None
+    ]
 
 
 def _print_sweep_outcome(run) -> None:

@@ -31,8 +31,9 @@ of state cross block boundaries:
   block end from the block's last writers;
 - the window ring (``ring``/``room``/``idx``/``grad``) of each
   windowed scenario, carried verbatim;
-- the instruction-level reuse history (``pc -> input signatures``),
-  so per-chunk reusability flags equal the whole-trace flags.
+- the instruction-level reuse history
+  (:class:`~repro.baselines.ilr.SignatureHistory`), so per-chunk
+  reusability flags equal the whole-trace flags.
 
 Every block ends *after a non-reusable instruction*, so every maximal
 reusable span — a trace candidate — lies wholly inside one block.
@@ -41,6 +42,31 @@ evaluated at span entry over the span's *full* live-in set, and the
 per-span latency depends on its total I/O counts.  A reusable run
 longer than the cap stretches its block to the run's end (the same
 stream would also defeat the paper's trace-collection limits).
+
+Shared layers
+-------------
+Both layers every scenario shares run as numpy passes, not
+per-instruction Python loops:
+
+- the ILR signature check
+  (:func:`~repro.baselines.ilr.reusability_flags`) gives each read
+  value a canonical int64 key that keeps Python equality (``1`` and
+  ``1.0`` share one), builds one fixed-width row per instruction,
+  hashes and deduplicates the rows of each slice of at most 8192
+  instructions, and makes Python key objects only for a slice's
+  distinct rows; values without a canonical key (NaN, ints beyond
+  int64, ...) key their row exactly instead;
+- the block precompute (:func:`_precompute`) turns the block's reads
+  and writes into events in time order and sorts them once by
+  ``(location, time)``: a read's producer is the last write before it
+  in its location's run; the seeds are the distinct read locations in
+  first-occurrence order; a span's live-ins are its reads whose
+  producer precedes the span, its gate refs those producers, and its
+  live-in and live-out counts come from distinct ``(span, location)``
+  pairs.
+
+Their results — the flags and each block's :class:`folds.Block` — are
+the ones the per-instruction loops produced, field for field.
 
 The window fill phase (fewer than ``window`` fetched instructions, so
 no gate yet) runs through one generic loop; once the window is full
@@ -75,9 +101,10 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.baselines.ilr import reusability_flags
+import numpy as np
+
+from repro.baselines.ilr import SignatureHistory, reusability_flags
 from repro.core.stats import TraceIOStats
-from repro.core.traces import _fold_liveness
 from repro.dataflow import folds
 from repro.dataflow.model import Scenario, TimingResult
 from repro.isa.registers import MEM_LOC_BASE
@@ -331,7 +358,10 @@ class StreamingDataflowEngine:
     ``engine.instructions_analyzed``.  Each drain also adds its
     executor count to ``engine.fold_executors`` and the time spent
     waiting on workers to the ``engine.fold_wait`` timer; a worker
-    start is timed as ``engine.fold_worker_start``.
+    start is timed as ``engine.fold_worker_start``.  The shared layers
+    are timed once per chunk (``engine.ilr_flags``) and once per block
+    (``engine.precompute``), against the drained instructions in
+    ``engine.instructions``.
     """
 
     def __init__(self, traceish, *,
@@ -349,6 +379,11 @@ class StreamingDataflowEngine:
         self._span_reg_in = 0
         self._span_out = 0
         self._span_reg_out = 0
+        # shared-layer seconds, and the chunks and blocks they cover
+        self._ilr_s = 0.0
+        self._precompute_s = 0.0
+        self._chunks = 0
+        self._blocks = 0
 
     # ------------------------------------------------------------------
     def analyze_all(self, scenarios: Sequence[Scenario]) -> list[TimingResult]:
@@ -375,6 +410,10 @@ class StreamingDataflowEngine:
         registry = _telemetry()
         registry.incr("engine.fold_executors", folder.executors)
         registry.add_time("engine.fold_wait", folder.wait)
+        registry.add_time("engine.ilr_flags", self._ilr_s, self._chunks)
+        registry.add_time("engine.precompute", self._precompute_s,
+                          self._blocks)
+        registry.incr("engine.instructions", n)
         results = []
         for sc, (best, reused, seconds) in zip(scenarios, rows):
             registry.add_time(f"engine.{sc.kind}", seconds)
@@ -398,8 +437,10 @@ class StreamingDataflowEngine:
         self.span_covered = 0
         self._span_in = self._span_reg_in = 0
         self._span_out = self._span_reg_out = 0
+        self._ilr_s = self._precompute_s = 0.0
+        self._chunks = self._blocks = 0
 
-        history: dict[int, set] = {}
+        history = SignatureHistory()
         reusable = 0
         # an all-reusable tail whose span may continue into the next chunk
         tail: ColumnarTrace | None = None
@@ -409,7 +450,10 @@ class StreamingDataflowEngine:
             nc = len(chunk)
             if not nc:
                 continue
+            t0 = time.perf_counter()
             flags = reusability_flags(chunk, history)
+            self._ilr_s += time.perf_counter() - t0
+            self._chunks += 1
             reusable += flags.count(1)
             self.n += nc
             start = 0
@@ -445,7 +489,7 @@ class StreamingDataflowEngine:
         self.reuse = StreamReusability(
             reusable_count=reusable,
             total_count=self.n,
-            static_count=len(history),
+            static_count=history.static_count,
             # every non-reusable instance records one new signature
             signature_count=self.n - reusable,
         )
@@ -483,95 +527,220 @@ class StreamingDataflowEngine:
                        flags: bytearray, folder: _Folder) -> None:
         """Precompute instructions ``[start, stop)`` of ``seg`` once, then
         fold every scenario over them."""
-        n = stop - start
-        # maximal reusable runs (block-relative), wholly inside the block
-        runs: list[tuple[int, int]] = []
-        span_inlocs: list[tuple[int, ...]] = []
-        span_io: list[tuple[int, int]] = []
-        a = flags.find(1, start, stop)
-        while a >= 0:
-            b = flags.find(0, a, stop)
-            if b < 0:
-                b = stop
-            live_in: dict = {}
-            live_out: dict = {}
-            _fold_liveness(seg, a, b, live_in, live_out)
-            runs.append((a - start, b - start))
-            span_inlocs.append(tuple(live_in))
-            span_io.append((len(live_in), len(live_out)))
-            self.span_covered += b - a
-            self._span_in += len(live_in)
-            self._span_out += len(live_out)
-            self._span_reg_in += sum(1 for loc in live_in if loc < MEM_LOC_BASE)
-            self._span_reg_out += sum(1 for loc in live_out if loc < MEM_LOC_BASE)
-            a = flags.find(1, b, stop)
-        self.span_count += len(runs)
-
-        # comp[0:m] is seeded per scenario with the carried ready time
-        # of each distinct location the block reads; instruction j's
-        # completion is comp[m + j].  ``writer`` starts out pointing at
-        # the seeds, so every read resolves with one dict probe.
-        rb, rl = seg.read_bounds, seg.read_locs
-        wb, wl = seg.write_bounds, seg.write_locs
-        seeds = list(dict.fromkeys(rl[rb[start]:rb[stop]]))
-        m = len(seeds)
-        writer = dict(zip(seeds, range(m)))
-        # producer references, shaped for the folds: a bare index for
-        # one producer, a pair tuple for exactly two, None for none and
-        # a deduplicated list for the rare three-plus case
-        prods: list = []
-        prods_append = prods.append
-        span_ids = [-1] * n
-        gate_refs: list[tuple[int, ...]] = []
-        # comp index at which the next span starts (-1: no more spans)
-        next_sid = 0
-        next_start = m + runs[0][0] if runs else -1
-        a = rb[start]
-        wa = wb[start]
-        for j, b, wb1 in zip(range(m, m + n), rb[start + 1:stop + 1],
-                             wb[start + 1:stop + 1]):
-            if j == next_start:
-                # the span's live-in producers as of span entry
-                a2, b2 = runs[next_sid]
-                span_ids[a2:b2] = [next_sid] * (b2 - a2)
-                gate_refs.append(tuple(dict.fromkeys(
-                    writer[loc] for loc in span_inlocs[next_sid])))
-                next_sid += 1
-                next_start = (m + runs[next_sid][0] if next_sid < len(runs)
-                              else -1)
-            if b - a == 1:
-                prods_append(writer[rl[a]])
-            elif b - a == 2:
-                p1 = writer[rl[a]]
-                p2 = writer[rl[a + 1]]
-                prods_append(p1 if p1 == p2 else (p1, p2))
-            elif a == b:
-                prods_append(None)
-            else:
-                ps = list(dict.fromkeys(writer[loc] for loc in rl[a:b]))
-                if len(ps) == 1:
-                    prods_append(ps[0])
-                elif len(ps) == 2:
-                    prods_append((ps[0], ps[1]))
-                else:
-                    prods_append(ps)
-            a = b
-            while wa < wb1:
-                writer[wl[wa]] = j
-                wa += 1
-
-        pre = folds.Block()
-        pre.n = n
-        pre.lats = seg.lats[start:stop]
-        pre.flags = flags[start:stop]
-        pre.prods = prods
-        pre.span_ids = span_ids
-        pre.gate_refs = gate_refs
-        pre.span_io = span_io
-        pre.seeds = seeds
-        # block-end state, shared by every scenario: each location
-        # written in the block -> the comp index of its last writer
-        written = {loc: j for loc, j in writer.items() if j >= m}
-        pre.written = list(written)
-        pre.written_refs = list(written.values())
+        t0 = time.perf_counter()
+        pre, (count, covered, n_in, reg_in, n_out, reg_out) = _precompute(
+            seg, start, stop, flags)
+        self.span_count += count
+        self.span_covered += covered
+        self._span_in += n_in
+        self._span_reg_in += reg_in
+        self._span_out += n_out
+        self._span_reg_out += reg_out
+        self._precompute_s += time.perf_counter() - t0
+        self._blocks += 1
         folder.fold(pre)
+
+
+#: ``np.arange`` of the largest size asked for so far; slices of it
+#: serve every index vector the precompute needs.
+_IOTA = np.arange(0)
+
+
+def _iota(k: int) -> np.ndarray:
+    """``np.arange(k)`` as a read-only view of a shared buffer."""
+    global _IOTA
+    if len(_IOTA) < k:
+        _IOTA = np.arange(max(k, 2 * len(_IOTA)))
+        _IOTA.flags.writeable = False
+    return _IOTA[:k]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where ``a`` differs from its predecessor (and at 0)."""
+    out = np.empty(len(a), bool)
+    out[:1] = True
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
+def _sort_events(rb, wb, rl, wl, r_inst, w_inst):
+    """A block's reads and writes in ``(location, time)`` order.
+
+    Instruction ``i``'s reads come before its writes, so a read's
+    producer is the last write before it in its location's run.  One
+    sort of packed ``(location rank, time)`` keys orders them; the
+    locations are ranked densely when their spread would overflow the
+    packing.  Returns ``(read slot, location id, producing instruction
+    or -1)`` of each read and ``(write slot, location id)`` of each
+    write, both in that order, and each location id's location.
+    """
+    nr, nw = len(rl), len(wl)
+    ne = nr + nw
+    r_time = _iota(nr) + wb[r_inst]
+    w_time = _iota(nw) + rb[w_inst + 1]
+    key = np.empty(ne, np.int64)
+    key[r_time] = rl
+    key[w_time] = wl
+    lo, locs = 0, None
+    if ne:
+        lo = int(key.min())
+        key -= lo
+        if int(key.max()) >= (1 << 62) // ne:
+            locs, key = np.unique(key + lo, return_inverse=True)
+            key = key.astype(np.int64)
+    key *= ne
+    key += _iota(ne)
+    key.sort()
+    time = key % ne
+    key //= ne
+    new_loc = _run_starts(key)
+    group_loc = key[new_loc] + lo if locs is None else locs
+    del key  # each step frees what it consumed: temporaries stay few
+    group = np.cumsum(new_loc) - 1
+    # each sorted event's id: its read slot, or nr + its write slot
+    event = np.empty(ne, np.intp)
+    event[r_time] = _iota(nr)
+    event[w_time] = _iota(nw) + nr
+    event = event[time]
+    del time, r_time, w_time
+    is_w = event >= nr
+    # last write at or before each event, if in the same location run
+    last_w = np.maximum.accumulate(np.where(is_w, _iota(ne), -1))
+    prod = np.where(last_w >= np.flatnonzero(new_loc)[group],
+                    event[last_w] - nr, nw)
+    prod = np.append(w_inst, -1)[prod]
+    is_r = ~is_w
+    reads = event[is_r], group[is_r], prod[is_r]
+    writes = event[is_w] - nr, group[is_w]
+    return reads, writes, group_loc
+
+
+def _shape_prods(ref: np.ndarray, rb: np.ndarray) -> list:
+    """Each instruction's producer references, shaped for the folds: a
+    bare index for one producer, a pair tuple for exactly two, None for
+    none and a deduplicated list for the rare three-plus case."""
+    count = np.diff(rb)
+    last = max(len(ref) - 1, 0)
+    ref = np.append(ref, 0)  # a harmless target for read-less rows
+    p1 = ref[np.minimum(rb[:-1], last + 1)]
+    p2 = np.where(count >= 2, ref[np.minimum(rb[:-1] + 1, last)], p1)
+    prods = [a if a == b else (a, b)
+             for a, b in zip(p1.tolist(), p2.tolist())]
+    for i in np.flatnonzero(count == 0).tolist():
+        prods[i] = None
+    for i in np.flatnonzero(count > 2).tolist():
+        ps = list(dict.fromkeys(ref[rb[i]:rb[i + 1]].tolist()))
+        prods[i] = ps[0] if len(ps) == 1 else (
+            (ps[0], ps[1]) if len(ps) == 2 else ps)
+    return prods
+
+
+def _live_tables(span_start, span_of, r_inst, reads, ref, rl, m,
+                 writes, w_count, group_loc):
+    """Per span: gate refs (the live-ins' producers, first occurrence
+    first), live-in and live-out counts; and the register live-in and
+    live-out totals.
+
+    A span's live-ins are its reads whose producer precedes the span.
+    A ``(span, location)`` pair's live-in reads are adjacent in
+    ``(location, time)`` order, as are its writes, so the first of each
+    run counts the pair once.
+    """
+    spans = len(span_start)
+    r_slot, r_group, r_prod = reads
+    r_span = span_of[r_inst[r_slot]]
+    # span_start[-1] is -1: no read outside a span is live-in
+    live = r_prod < np.append(span_start, -1)[r_span]
+    repeat = np.zeros_like(live)
+    repeat[1:] = live[:-1]
+    repeat &= ~(_run_starts(r_group) | _run_starts(r_span))
+    first = live & ~repeat
+    slots = np.zeros(len(ref), bool)
+    slots[r_slot[first]] = True
+    slots = np.flatnonzero(slots)
+    live_span = span_of[r_inst[slots]]
+    n_in = np.bincount(live_span, minlength=spans)
+    reg_in = int(np.count_nonzero(rl[slots] < MEM_LOC_BASE))
+    live_ref = ref[slots]
+    # only an instruction writing several locations repeats a ref
+    if np.any(np.append(w_count, 0)[np.maximum(live_ref - m, -1)] > 1):
+        pair = live_span * (m + len(span_of)) + live_ref
+        keep = np.zeros(len(pair), bool)
+        keep[np.unique(pair, return_index=True)[1]] = True
+        live_span, live_ref = live_span[keep], live_ref[keep]
+    cut = np.append(0, np.cumsum(np.bincount(live_span, minlength=spans)))
+    cut = cut.tolist()
+    refs = live_ref.tolist()
+    gate_refs = [tuple(refs[a:b]) for a, b in zip(cut, cut[1:])]
+    w_group, w_span = writes
+    first = (w_span >= 0) & (_run_starts(w_group) | _run_starts(w_span))
+    n_out = np.bincount(w_span[first], minlength=spans)
+    reg_out = int(np.count_nonzero(group_loc[w_group[first]] < MEM_LOC_BASE))
+    return gate_refs, n_in, reg_in, n_out, reg_out
+
+
+def _precompute(seg: ColumnarTrace, start: int, stop: int,
+                flags: bytearray) -> tuple[folds.Block, tuple[int, ...]]:
+    """The shared precompute of instructions ``[start, stop)`` of
+    ``seg``, and the block's span statistics ``(spans, covered,
+    live-ins, register live-ins, live-outs, register live-outs)``."""
+    n = stop - start
+    rb = np.frombuffer(seg.read_bounds, "I")[start:stop + 1].astype(np.intp)
+    wb = np.frombuffer(seg.write_bounds, "I")[start:stop + 1].astype(np.intp)
+    rl = np.frombuffer(seg.read_locs, "q")[rb[0]:rb[-1]]
+    wl = np.frombuffer(seg.write_locs, "q")[wb[0]:wb[-1]]
+    rb -= rb[0]
+    wb -= wb[0]
+    r_inst = np.repeat(_iota(n), np.diff(rb))
+    w_inst = np.repeat(_iota(n), np.diff(wb))
+    reads, (w_slot, w_group), group_loc = _sort_events(
+        rb, wb, rl, wl, r_inst, w_inst)
+    r_slot, r_group, r_prod = reads
+
+    # seeds: the block's distinct read locations, first occurrence
+    # first; a read's comp reference is its producer or its seed
+    first = _run_starts(r_group)
+    is_seed = np.zeros(len(rl), bool)
+    is_seed[r_slot[first]] = True
+    seeds = rl[is_seed].tolist()
+    m = len(seeds)
+    group_seed = np.full(len(group_loc), -1, np.intp)
+    group_seed[r_group[first]] = (np.cumsum(is_seed) - 1)[r_slot[first]]
+    ref = np.empty(len(rl), np.intp)
+    ref[r_slot] = np.where(r_prod >= 0, r_prod + m, group_seed[r_group])
+    prods = _shape_prods(ref, rb)
+
+    # maximal reusable runs, wholly inside the block
+    f = np.frombuffer(flags, np.uint8, n, start).astype(np.int8)
+    edges = np.diff(f, prepend=0, append=0)
+    span_start = np.flatnonzero(edges == 1)
+    span_len = np.flatnonzero(edges == -1) - span_start
+    span_of = np.full(n, -1, np.intp)
+    span_of[f.view(bool)] = np.repeat(_iota(len(span_start)), span_len)
+    gate_refs, n_in, reg_in, n_out, reg_out = _live_tables(
+        span_start, span_of, r_inst, reads, ref, rl, m,
+        (w_group, span_of[w_inst[w_slot]]), np.diff(wb), group_loc)
+
+    # block-end state, shared by every scenario: each location written
+    # in the block -> the comp index of its last writer; seeds first,
+    # in seed order, then the others by first write
+    firsts = _run_starts(w_group)
+    lasts = np.append(firsts[1:], True)[:len(firsts)]
+    written = w_group[lasts]
+    seed_of = group_seed[written]
+    by = np.argsort(np.where(seed_of >= 0, seed_of, m + w_slot[firsts]))
+
+    pre = folds.Block()
+    pre.n = n
+    pre.lats = seg.lats[start:stop]
+    pre.flags = flags[start:stop]
+    pre.prods = prods
+    pre.span_ids = span_of.tolist()
+    pre.gate_refs = gate_refs
+    pre.span_io = list(zip(n_in.tolist(), n_out.tolist()))
+    pre.seeds = seeds
+    pre.written = group_loc[written[by]].tolist()
+    pre.written_refs = (w_inst[w_slot[lasts]][by] + m).tolist()
+    stats = (len(span_start), int(span_len.sum()), int(n_in.sum()), reg_in,
+             int(n_out.sum()), reg_out)
+    return pre, stats

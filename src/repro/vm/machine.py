@@ -115,7 +115,6 @@ class Machine:
         self.pc = program.text_labels.get("main", 0)
         self.halted = False
         self.instruction_count = 0
-        self._dispatch = self._build_dispatch()
 
     # ------------------------------------------------------------------
     # public API
@@ -263,11 +262,11 @@ class Machine:
         if not 0 <= self.pc < len(instrs):
             raise VMError(f"pc {self.pc} outside program", pc=self.pc)
         inst = instrs[self.pc]
-        handler = self._dispatch.get(inst.op)
+        handler = _DISPATCH.get(inst.op)
         if handler is None:  # pragma: no cover - all opcodes are wired up
             raise VMError(f"unimplemented opcode {inst.op.name}", pc=self.pc,
                           line=inst.line)
-        reads, writes, next_pc = handler(inst)
+        reads, writes, next_pc = handler(self, inst)
         record = DynInst(self.pc, inst.op, reads, writes, inst.latency, next_pc)
         self.pc = next_pc
         self.instruction_count += 1
@@ -317,41 +316,6 @@ class Machine:
         result = fn(a, inst.imm)
         reads = ((inst.rs1, a),)
         return reads, self._write_reg(inst.rd, result), self.pc + 1
-
-    def _build_dispatch(self):
-        table = {}
-        for op, fn in _INT_RR_FN.items():
-            table[op] = (lambda inst, f=fn: self._alu_rr(inst, f))
-        for op, fn in _INT_RI_FN.items():
-            table[op] = (lambda inst, f=fn: self._alu_ri(inst, f))
-        for op, fn in _BRANCH_FN.items():
-            table[op] = (lambda inst, f=fn: self._branch(inst, f))
-        for op, fn in _FP_RR_FN.items():
-            table[op] = (lambda inst, f=fn: self._fp_rr(inst, f))
-        for op, fn in _FP_CMP_FN.items():
-            table[op] = (lambda inst, f=fn: self._fp_cmp(inst, f))
-        table[Opcode.DIV] = self._op_div
-        table[Opcode.REM] = self._op_rem
-        table[Opcode.LI] = self._op_li
-        table[Opcode.MOV] = self._op_mov
-        table[Opcode.LW] = self._op_lw
-        table[Opcode.SW] = self._op_sw
-        table[Opcode.FLW] = self._op_flw
-        table[Opcode.FSW] = self._op_fsw
-        table[Opcode.J] = self._op_j
-        table[Opcode.JAL] = self._op_jal
-        table[Opcode.JR] = self._op_jr
-        table[Opcode.FDIV] = self._op_fdiv
-        table[Opcode.FSQRT] = self._op_fsqrt
-        table[Opcode.FNEG] = self._op_fneg
-        table[Opcode.FABS] = self._op_fabs
-        table[Opcode.FMOV] = self._op_fmov
-        table[Opcode.FLI] = self._op_fli
-        table[Opcode.CVTIF] = self._op_cvtif
-        table[Opcode.CVTFI] = self._op_cvtfi
-        table[Opcode.NOP] = self._op_nop
-        table[Opcode.HALT] = self._op_halt
-        return table
 
     def _branch(self, inst: Instruction, cond):
         a = self.regs[inst.rs1]
@@ -532,6 +496,51 @@ class Machine:
 # The closures must stay observationally identical to the ``step()``
 # handlers — same records, same state mutations, same errors — which
 # the differential tests assert over every workload.
+
+def _build_dispatch() -> dict:
+    """Opcode -> ``handler(machine, inst)`` for :meth:`Machine.step`.
+
+    Shared by every machine: a per-machine table of bound handlers would
+    be a reference cycle, keeping a dropped machine (and everything it
+    holds) alive until the next full garbage collection.
+    """
+    table = {}
+    for op, fn in _INT_RR_FN.items():
+        table[op] = (lambda m, inst, f=fn: m._alu_rr(inst, f))
+    for op, fn in _INT_RI_FN.items():
+        table[op] = (lambda m, inst, f=fn: m._alu_ri(inst, f))
+    for op, fn in _BRANCH_FN.items():
+        table[op] = (lambda m, inst, f=fn: m._branch(inst, f))
+    for op, fn in _FP_RR_FN.items():
+        table[op] = (lambda m, inst, f=fn: m._fp_rr(inst, f))
+    for op, fn in _FP_CMP_FN.items():
+        table[op] = (lambda m, inst, f=fn: m._fp_cmp(inst, f))
+    table[Opcode.DIV] = Machine._op_div
+    table[Opcode.REM] = Machine._op_rem
+    table[Opcode.LI] = Machine._op_li
+    table[Opcode.MOV] = Machine._op_mov
+    table[Opcode.LW] = Machine._op_lw
+    table[Opcode.SW] = Machine._op_sw
+    table[Opcode.FLW] = Machine._op_flw
+    table[Opcode.FSW] = Machine._op_fsw
+    table[Opcode.J] = Machine._op_j
+    table[Opcode.JAL] = Machine._op_jal
+    table[Opcode.JR] = Machine._op_jr
+    table[Opcode.FDIV] = Machine._op_fdiv
+    table[Opcode.FSQRT] = Machine._op_fsqrt
+    table[Opcode.FNEG] = Machine._op_fneg
+    table[Opcode.FABS] = Machine._op_fabs
+    table[Opcode.FMOV] = Machine._op_fmov
+    table[Opcode.FLI] = Machine._op_fli
+    table[Opcode.CVTIF] = Machine._op_cvtif
+    table[Opcode.CVTFI] = Machine._op_cvtfi
+    table[Opcode.NOP] = Machine._op_nop
+    table[Opcode.HALT] = Machine._op_halt
+    return table
+
+
+_DISPATCH = _build_dispatch()
+
 
 def _mk_int_rr(fn):
     def build(m, inst, pc, cols):

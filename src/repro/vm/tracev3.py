@@ -240,9 +240,9 @@ def float_mask(vals: list) -> bytes | None:
     column holds exotic element types (bool, numpy scalars, ...).
 
     Byte ``1`` marks a ``float`` slot, ``0`` an ``int`` slot.  Runs
-    entirely in C, so callers (the chunk encoder, the streaming
-    engine's batched signature pass) can classify millions of slots
-    per second without a Python-level loop.
+    entirely in C, so its caller, the chunk encoder
+    (:func:`_enc_values`), classifies millions of slots per second
+    without a Python-level loop.
     """
     try:
         return bytes(map(_VTYPE_BIT.__getitem__, map(type, vals)))

@@ -412,3 +412,31 @@ class TestEngineProfilingHooks:
         for name in ("engine.fold_executors", "engine.fold_wait",
                      "engine.fold_worker_start", "engine.tlr"):
             assert name in out
+
+    def test_shared_layer_timers_reach_manifest_and_obs_show(
+            self, cache_dir, capsys):
+        """The ILR pass and the block precompute are timed once per
+        chunk and per block, and ``obs show`` prints them per drained
+        instruction."""
+        from repro.cli import main
+        from repro.exp.runner import collect_profiles
+
+        config = ExperimentConfig(max_instructions=3_000, workloads=("li",),
+                                  max_workers=1, use_cache=False,
+                                  stream_chunk_size=1_000)
+        run = collect_profiles(config, manifest=True)
+        assert run.ok
+        events, _ = obs.read_manifest(run.manifest_path)
+        summary = obs.summarize(events)
+        assert summary["counters"]["engine.instructions"] == 3_000
+        timers = summary["timers"]
+        assert timers["engine.ilr_flags"]["calls"] == 3  # one per chunk
+        assert timers["engine.precompute"]["calls"] >= 1  # one per block
+        for name in ("engine.ilr_flags", "engine.precompute"):
+            assert timers[name]["seconds"] > 0.0
+
+        assert main(["obs", "show"]) == 0
+        out = capsys.readouterr().out
+        assert "Engine layers" in out
+        for name in ("engine.ilr_flags", "engine.precompute", "engine.tlr"):
+            assert name in out.split("Engine layers")[1]

@@ -214,31 +214,36 @@ class TestCorruption:
 
 class TestBoundedMemory:
     def test_reader_holds_at_most_two_chunks(self, tmp_path):
-        """Drain a many-chunk file counting live decoded chunks: at any
-        point at most ~2 may be alive (the one just yielded plus the
-        one being decoded).  ``ColumnarTrace`` is a slots class without
+        """Drain a many-chunk file counting live decoded chunks while
+        the consumer holds one.  ``TraceReader.chunks(prefetch=K)``
+        documents at most ``K + 2`` (K in flight, the one being
+        yielded and the consumer's previous one): two without
+        prefetch.  K is pinned, so the bound does not depend on the
+        host's codec pool.  ``ColumnarTrace`` is a slots class without
         ``__weakref__``, so liveness is counted via the gc instead."""
         from repro.vm.trace import ColumnarTrace
+
+        def live() -> int:
+            gc.collect()
+            return sum(1 for o in gc.get_objects()
+                       if isinstance(o, ColumnarTrace))
 
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
         write_v3(trace, path, chunk_size=100)  # 40 chunks
         del trace
-        gc.collect()
-        baseline = sum(1 for o in gc.get_objects()
-                       if isinstance(o, ColumnarTrace))
-        seen = 0
-        max_live = 0
-        with TraceReader(path) as reader:
-            for chunk in reader.chunks():
-                seen += 1
-                del chunk
-                gc.collect()
-                live = sum(1 for o in gc.get_objects()
-                           if isinstance(o, ColumnarTrace)) - baseline
-                max_live = max(max_live, live)
-        assert seen == 40
-        assert max_live <= 2, f"{max_live} chunks live at once"
+        baseline = live()
+        for prefetch in (0, 1, 4):
+            seen = 0
+            max_live = 0
+            with TraceReader(path) as reader:
+                for chunk in reader.chunks(prefetch=prefetch):
+                    seen += 1
+                    max_live = max(max_live, live() - baseline)
+            del chunk
+            assert seen == 40
+            assert max_live <= prefetch + 2, (
+                f"{max_live} chunks live at once with prefetch={prefetch}")
 
     def test_writer_pending_stays_bounded(self, tmp_path):
         trace = run_workload("li", max_instructions=2_000)
