@@ -455,8 +455,9 @@ class InstructionReuseBuffer:
         miss the new signature is inserted, evicting the LRU entry of
         the set when full.
         """
-        entry_set = self._set_for(inst.pc)
-        key = (inst.pc, inst.reads)
+        pc = inst.pc
+        entry_set = self._sets[pc % self.num_sets]
+        key = (pc, inst.reads)
         if key in entry_set:
             entry_set.move_to_end(key)
             self.hits += 1

@@ -26,11 +26,11 @@ are discarded.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.baselines.ilr import InstructionReuseBuffer
-from repro.core.rtm.entry import RTMEntry
+from repro.core.rtm.entry import RTMEntry, new_entry
 from repro.core.rtm.memory import ReuseTraceMemory
 from repro.core.traces import TraceLimits
 from repro.isa.registers import MEM_LOC_BASE as _MEM_LOC_BASE
@@ -158,13 +158,17 @@ class TraceCollector:
                     mem_out += 1
                 else:
                     reg_out += 1
-        if not self.limits.admits(reg_in, mem_in, reg_out, mem_out):
+        limits = self.limits
+        if (
+            reg_in > limits.max_reg_inputs
+            or mem_in > limits.max_mem_inputs
+            or reg_out > limits.max_reg_outputs
+            or mem_out > limits.max_mem_outputs
+        ):
             return False
         if new_in is not None:
-            for loc, val in new_in:
-                live_in[loc] = val
-        for loc, val in inst.writes:
-            live_out[loc] = val
+            live_in.update(new_in)
+        live_out.update(inst.writes)
         self._reg_in, self._mem_in = reg_in, mem_in
         self._reg_out, self._mem_out = reg_out, mem_out
         if self._start_pc is None:
@@ -190,14 +194,13 @@ class TraceCollector:
         base = self._base
         assert base is not None
         assert self._start_pc is not None and self._last_next_pc is not None
-        entry = RTMEntry(
-            start_pc=self._start_pc,
-            length=end - base,
-            inputs=tuple(self._live_in.items()),
-            outputs=tuple(self._live_out.items()),
-            next_pc=self._last_next_pc,
-        )
-        self.rtm.insert(entry)
+        self.rtm.insert(new_entry(
+            self._start_pc,
+            end - base,
+            tuple(self._live_in.items()),
+            tuple(self._live_out.items()),
+            self._last_next_pc,
+        ))
         self.collected += 1
 
     def _finalize(self, end: int) -> None:
@@ -240,10 +243,14 @@ class TraceCollector:
     # ------------------------------------------------------------------
     def on_fetch(self, i: int, inst: DynInst) -> None:
         """A normally fetched/executed instruction at stream index ``i``."""
+        self.fetch_handler()(i, inst)
+
+    def fetch_handler(self) -> Callable[[int, DynInst], None]:
+        """:meth:`on_fetch` resolved for this heuristic, to bind once
+        before a per-instruction loop."""
         if isinstance(self.heuristic, ILRHeuristic):
-            self._on_fetch_ilr(i, inst)
-        else:
-            self._on_fetch_fixed(i, inst)
+            return self._on_fetch_ilr
+        return self._on_fetch_fixed
 
     def _on_fetch_ilr(self, i: int, inst: DynInst) -> None:
         reusable = self.ilr_buffer.access(inst)

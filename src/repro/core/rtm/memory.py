@@ -17,6 +17,10 @@ The paper's four configurations::
     256K entries: 8-way (11-bit index, 2048 sets), 16 traces per PC
 
 (in every case ``sets * ways * traces_per_pc`` equals the entry count).
+
+Each PC's traces are indexed by their first live-in, so a lookup tests
+only the traces whose first input already matches (see
+:class:`ReuseTraceMemory`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from dataclasses import dataclass
 
 from repro.core.rtm.entry import RTMEntry
 from repro.util.rng import mix64
+
+#: a value no location holds (stands in for a missing one at lookup)
+_MISSING = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +71,84 @@ def hashed_index(pc: int) -> int:
     return mix64(pc)
 
 
+class _Slot:
+    """One stored trace plus its lookup bookkeeping.
+
+    ``stamp`` is the recency clock value of the entry's last use (its
+    insert, re-insert or hit): among equally long matching traces the
+    larger stamp wins.  ``rest`` holds the live-ins after the first,
+    which the index has already matched.
+    """
+
+    __slots__ = ("entry", "key", "length", "rest", "stamp")
+
+    def __init__(self, entry: RTMEntry, key: tuple, stamp: int):
+        self.entry = entry
+        self.key = key
+        self.length = entry.length
+        self.rest = entry.inputs[1:]
+        self.stamp = stamp
+
+
+def _index_key(entry: RTMEntry) -> tuple:
+    """Where a trace sits in its bucket's index: its first live-in.
+
+    A trace without live-ins sits at location ``None``, value
+    ``_MISSING``: no state holds location ``None``, so probing it
+    always yields ``_MISSING`` and finds exactly these traces, which
+    always match.
+    """
+    return entry.inputs[0] if entry.inputs else (None, _MISSING)
+
+
+class _Bucket:
+    """The traces stored for one starting PC.
+
+    ``slots`` maps identity to slot in LRU order (least recent first);
+    it decides trace evictions and the ``stored_entries`` order.
+    ``index`` maps each first live-in location to its recorded values
+    and the slots recorded with them, so a lookup probes one value per
+    location instead of testing every stored trace.  A trace whose
+    first input is NaN stays out of the index: NaN equals nothing, so
+    it can never match.
+    """
+
+    __slots__ = ("owner", "slots", "index")
+
+    def __init__(self, owner: OrderedDict):
+        self.owner = owner  # the set holding this bucket
+        self.slots: OrderedDict[tuple, _Slot] = OrderedDict()
+        self.index: dict[int | None, dict[object, list[_Slot]]] = {}
+
+    def add(self, slot: _Slot) -> None:
+        self.slots[slot.key] = slot
+        loc, val = _index_key(slot.entry)
+        if val != val:
+            return
+        by_value = self.index.get(loc)
+        if by_value is None:
+            self.index[loc] = {val: [slot]}
+        else:
+            holders = by_value.get(val)
+            if holders is None:
+                by_value[val] = [slot]
+            else:
+                holders.append(slot)
+
+    def evict_lru(self) -> None:
+        _key, slot = self.slots.popitem(last=False)
+        loc, val = _index_key(slot.entry)
+        if val != val:
+            return
+        by_value = self.index[loc]
+        holders = by_value[val]
+        holders.remove(slot)
+        if not holders:
+            del by_value[val]
+            if not by_value:
+                del self.index[loc]
+
+
 class ReuseTraceMemory:
     """Finite trace storage with two-level LRU replacement.
 
@@ -71,6 +156,17 @@ class ReuseTraceMemory:
     count selects the set — section 3.1 notes the RTM "can be indexed
     by different schemes"; :func:`pc_index` and :func:`hashed_index`
     are provided, and the ablation benchmark compares them.
+
+    A lookup does not test every trace stored at the PC.  Each PC's
+    traces are indexed by their first live-in, location then value,
+    so one dictionary probe per distinct first-input location (about
+    one per PC in the paper's kernels) leaves only the traces whose
+    first input already matches; their remaining inputs are compared
+    in place.  The result is the one :meth:`RTMEntry.matches` defines:
+    values compare with ``==`` (``1`` matches ``1.0``, ``-0.0``
+    matches ``0.0``), a location missing from the state fails, a NaN
+    input never matches (it is stored, counted and evicted like any
+    other trace), and a trace without inputs always matches.
     """
 
     #: this scheme verifies input values at lookup; it does not need
@@ -82,19 +178,18 @@ class ReuseTraceMemory:
             raise ValueError("RTM geometry values must be positive")
         self.config = config
         self._index_fn = index_fn
-        # set index -> (pc -> (identity -> RTMEntry)); both inner maps
-        # are LRU-ordered (least-recent first)
-        self._sets: list[OrderedDict[int, OrderedDict[tuple, RTMEntry]]] = [
+        # set index -> (pc -> bucket), LRU-ordered (least-recent first)
+        self._sets: list[OrderedDict[int, _Bucket]] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
+        # pc -> bucket across all sets: a lookup needs no set index
+        self._buckets: dict[int, _Bucket] = {}
+        self._clock = 0  # recency stamps for the tie-break
         self.lookups = 0
         self.hits = 0
         self.insertions = 0
         self.trace_evictions = 0
         self.pc_evictions = 0
-
-    def _set_for(self, pc: int) -> OrderedDict:
-        return self._sets[self._index_fn(pc) % self.config.num_sets]
 
     def lookup(self, pc: int, current: dict[int, int | float]) -> RTMEntry | None:
         """The reuse test at a fetch: the longest matching trace wins.
@@ -106,54 +201,79 @@ class ReuseTraceMemory:
         A hit refreshes LRU state at both levels.
         """
         self.lookups += 1
-        entry_set = self._set_for(pc)
-        bucket = entry_set.get(pc)
+        bucket = self._buckets.get(pc)
         if bucket is None:
             return None
-        best: RTMEntry | None = None
-        for entry in reversed(bucket.values()):  # MRU first
-            if entry.matches(current) and (best is None or entry.length > best.length):
-                best = entry
+        best: _Slot | None = None
+        best_length = 0
+        missing = _MISSING
+        get = current.get
+        for loc, by_value in bucket.index.items():
+            holders = by_value.get(get(loc, missing))
+            if holders is None:
+                continue
+            for slot in holders:
+                length = slot.length
+                if best is not None and (
+                    length < best_length
+                    or (length == best_length and slot.stamp < best.stamp)
+                ):
+                    continue
+                for in_loc, val in slot.rest:
+                    if get(in_loc, missing) != val:
+                        break
+                else:
+                    best = slot
+                    best_length = length
         if best is None:
             return None
         self.hits += 1
-        bucket.move_to_end(best.identity())
-        entry_set.move_to_end(pc)
-        return best
+        self._clock += 1
+        best.stamp = self._clock
+        bucket.slots.move_to_end(best.key)
+        bucket.owner.move_to_end(pc)
+        return best.entry
 
     def insert(self, entry: RTMEntry) -> None:
         """Store a collected trace, evicting LRU victims when full.
 
         An entry identical to a stored one (same PC, length and input
-        values) only refreshes the stored entry's LRU position.
+        values) replaces the stored entry and refreshes its LRU
+        position.
         """
-        entry_set = self._set_for(entry.start_pc)
-        bucket = entry_set.get(entry.start_pc)
+        pc = entry.start_pc
+        bucket = self._buckets.get(pc)
         if bucket is None:
+            entry_set = self._sets[self._index_fn(pc) % self.config.num_sets]
             if len(entry_set) >= self.config.ways:
-                entry_set.popitem(last=False)
+                victim_pc, _victim = entry_set.popitem(last=False)
+                del self._buckets[victim_pc]
                 self.pc_evictions += 1
-            bucket = OrderedDict()
-            entry_set[entry.start_pc] = bucket
+            bucket = _Bucket(entry_set)
+            entry_set[pc] = bucket
+            self._buckets[pc] = bucket
+        self._clock += 1
         key = entry.identity()
-        if key in bucket:
-            bucket[key] = entry
-            bucket.move_to_end(key)
-            entry_set.move_to_end(entry.start_pc)
+        slots = bucket.slots
+        slot = slots.get(key)
+        if slot is not None:
+            slot.entry = entry
+            slot.rest = entry.inputs[1:]
+            slot.stamp = self._clock
+            slots.move_to_end(key)
+            bucket.owner.move_to_end(pc)
             return
-        if len(bucket) >= self.config.traces_per_pc:
-            bucket.popitem(last=False)
+        if len(slots) >= self.config.traces_per_pc:
+            bucket.evict_lru()
             self.trace_evictions += 1
-        bucket[key] = entry
-        entry_set.move_to_end(entry.start_pc)
+        bucket.add(_Slot(entry, key, self._clock))
+        bucket.owner.move_to_end(pc)
         self.insertions += 1
 
     @property
     def occupancy(self) -> int:
         """Number of traces currently stored."""
-        return sum(
-            len(bucket) for entry_set in self._sets for bucket in entry_set.values()
-        )
+        return sum(len(bucket.slots) for bucket in self._buckets.values())
 
     def hit_rate(self) -> float:
         """Fraction of lookups that hit (0 when never probed)."""
@@ -162,8 +282,8 @@ class ReuseTraceMemory:
     def stored_entries(self) -> list[RTMEntry]:
         """All stored traces (for inspection and tests)."""
         return [
-            entry
+            slot.entry
             for entry_set in self._sets
             for bucket in entry_set.values()
-            for entry in bucket.values()
+            for slot in bucket.slots.values()
         ]

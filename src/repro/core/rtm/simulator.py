@@ -14,13 +14,21 @@ machinery — that the dynamic path following the fetch *is* the stored
 trace; ``validate=True`` asserts this invariant against the actual
 stream, which doubles as an end-to-end soundness check of the whole
 pipeline.
+
+The walk goes segment by segment over ``DynInst`` rows (a materialized
+trace is one segment, a chunk stream one per chunk), so memory stays
+bounded by the longest stored trace plus one segment.  Every run
+reports an ``rtm.simulate`` timer and ``rtm.instructions``,
+``rtm.lookups`` and ``rtm.hits`` counters to :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.baselines.ilr import InstructionReuseBuffer
 from repro.core.rtm.collector import (
     FixedLengthHeuristic,
@@ -32,57 +40,19 @@ from repro.core.rtm.invalidating import InvalidatingRTM
 from repro.core.rtm.memory import ReuseTraceMemory, RTMConfig
 from repro.core.traces import TraceLimits
 from repro.vm.trace import AnyTrace, DynInst
-from repro.vm.tracestream import iter_insts
+from repro.vm.tracestream import row_segments
 
 
-class _StreamCursor:
-    """A bounded forward window over a ``DynInst`` iterator.
-
-    The simulator needs one-instruction lookahead plus, on a reuse
-    hit, the next ``entry.length`` instructions; everything behind the
-    fetch point is released.  Memory is O(longest RTM entry + one
-    source chunk), never O(stream).
-    """
-
-    __slots__ = ("_it", "_buf", "_base", "_eof")
-
-    def __init__(self, it):
-        self._it = it
-        self._buf: list[DynInst] = []
-        self._base = 0
-        self._eof = False
-
-    def _fill_to(self, stop: int) -> bool:
-        """Buffer through global index ``stop`` (exclusive); False at EOF."""
-        need = stop - self._base - len(self._buf)
-        while need > 0:
-            try:
-                self._buf.append(next(self._it))
-            except StopIteration:
-                self._eof = True
-                return False
-            need -= 1
-        return True
-
-    def get(self, i: int) -> DynInst | None:
-        """The instruction at global index ``i`` (None past the end)."""
-        if not self._fill_to(i + 1):
-            return None
-        return self._buf[i - self._base]
-
-    def get_range(self, i: int, stop: int) -> list[DynInst] | None:
-        """``stream[i:stop]`` as a list, or None if the stream ends first."""
-        if not self._fill_to(stop):
-            return None
-        base = self._base
-        return self._buf[i - base : stop - base]
-
-    def release(self, i: int) -> None:
-        """Drop every buffered instruction before global index ``i``."""
-        drop = i - self._base
-        if drop > 0:
-            del self._buf[:drop]
-            self._base = i
+def _extend_window(tail, need: int, segments) -> list[DynInst]:
+    """``tail`` followed by further segments until it holds ``need``
+    rows or the stream ends (then it holds fewer)."""
+    window = list(tail)
+    while len(window) < need:
+        more = next(segments, None)
+        if more is None:
+            break
+        window.extend(more)
+    return window
 
 
 @dataclass(slots=True)
@@ -175,11 +145,15 @@ class FiniteReuseSimulator:
         """Simulate the engine over one captured stream.
 
         ``trace`` may be a materialized trace *or* a chunk stream
-        (:mod:`repro.vm.tracestream`); either way the walk is a single
-        forward pass through a :class:`_StreamCursor` whose lookahead
-        never exceeds the longest stored trace, so streams larger than
-        memory simulate fine.
+        (:mod:`repro.vm.tracestream`).  Either way the walk is one
+        forward pass over row segments (a materialized trace is a
+        single segment) with a position into the current one.  A
+        reuse hit that runs past the segment's end carries the
+        segment's unwalked tail into a window with the following
+        segments, so lookahead never exceeds the longest stored trace
+        plus one segment and streams larger than memory simulate fine.
         """
+        t0 = time.perf_counter()
         if self.reuse_test == "invalidate":
             rtm = InvalidatingRTM(self.rtm_config)
         else:
@@ -204,49 +178,73 @@ class FiniteReuseSimulator:
         reused_ranges: list[tuple[int, int]] = []
         reused_entries: list = []
         reused_instructions = 0
-        cursor = _StreamCursor(iter_insts(trace))
-        i = 0
+        lookup = rtm.lookup
+        on_fetch = collector.fetch_handler()
+        on_reuse = collector.on_reuse
+        on_write = rtm.on_write if invalidating else None
+        validate = self.validate
+        update = current.update
+        segments = row_segments(trace)
+        rows: Sequence[DynInst] = ()
+        n_rows = 0
+        pos = 0  # position of the fetch point in ``rows``
+        i = 0  # stream index of the fetch point
         while True:
-            inst = cursor.get(i)
-            if inst is None:
-                break
-            entry = rtm.lookup(inst.pc, current)
-            if entry is not None:
-                stop = i + entry.length
-                # a stream that ends before the entry does cannot reuse
-                # it (the materialized guard was i + length <= n)
-                window = cursor.get_range(i, stop)
-            else:
-                window = None
-            if window is not None:
-                if self.validate:
-                    self._check_entry(window, i, stop, entry)
-                collector.on_reuse(i, entry, window)
-                for skipped in window:
-                    for loc, val in skipped.reads:
-                        current[loc] = val
-                    for loc, val in skipped.writes:
-                        current[loc] = val
-                        if invalidating:
-                            rtm.on_write(loc)
-                reused_ranges.append((i, stop))
-                reused_entries.append(entry)
-                reused_instructions += entry.length
-                i = stop
-                cursor.release(i)
+            if pos == n_rows:
+                # drop the walked rows before the next segment is built
+                rows = ()
+                rows = next(segments, None)
+                if rows is None:
+                    break
+                n_rows = len(rows)
+                pos = 0
                 continue
-            collector.on_fetch(i, inst)
-            for loc, val in inst.reads:
-                current[loc] = val
-            for loc, val in inst.writes:
-                current[loc] = val
-                if invalidating:
-                    rtm.on_write(loc)
+            inst = rows[pos]
+            entry = lookup(inst.pc, current)
+            if entry is not None:
+                end = pos + entry.length
+                if end > n_rows:
+                    tail = rows[pos:]
+                    rows = ()
+                    rows = _extend_window(tail, entry.length, segments)
+                    n_rows = len(rows)
+                    pos = 0
+                    end = entry.length
+                # a stream that ends before the entry does cannot reuse it
+                if end <= n_rows:
+                    window = rows[pos:end]
+                    stop = i + entry.length
+                    if validate:
+                        self._check_entry(window, i, stop, entry)
+                    on_reuse(i, entry, window)
+                    for skipped in window:
+                        update(skipped.reads)
+                        update(skipped.writes)
+                        if on_write is not None:
+                            for loc, _val in skipped.writes:
+                                on_write(loc)
+                    reused_ranges.append((i, stop))
+                    reused_entries.append(entry)
+                    reused_instructions += entry.length
+                    i = stop
+                    pos = end
+                    continue
+            on_fetch(i, inst)
+            update(inst.reads)
+            update(inst.writes)
+            if on_write is not None:
+                for loc, _val in inst.writes:
+                    on_write(loc)
             i += 1
-            cursor.release(i)
+            pos += 1
         n = i
         collector.flush(n)
 
+        telemetry = obs.current()
+        telemetry.add_time("rtm.simulate", time.perf_counter() - t0)
+        telemetry.incr("rtm.instructions", n)
+        telemetry.incr("rtm.lookups", rtm.lookups)
+        telemetry.incr("rtm.hits", rtm.hits)
         return FiniteReuseResult(
             heuristic_name=self.heuristic.name,
             rtm_name=self.rtm_config.name,

@@ -253,13 +253,13 @@ FIG9_HEURISTICS: list[Heuristic] = [
 
 
 def _fig9_task(
-    args: tuple[str, Heuristic, tuple[str, ...], int, int, bool]
+    args: tuple[str, Heuristic, tuple[str, ...], int, int, bool, str | None]
 ) -> list[tuple[str, str, str, float, float]]:
     """One worker: one benchmark x one heuristic across all RTM sizes."""
-    name, heuristic, rtm_names, max_instructions, scale, use_cache = args
+    name, heuristic, rtm_names, max_instructions, scale, use_cache, backend = args
     trace = run_workload(
         name, scale=scale, max_instructions=max_instructions,
-        use_cache=use_cache,
+        use_cache=use_cache, backend=backend,
     )
     out = []
     for rtm_name in rtm_names:
@@ -294,7 +294,7 @@ def figure9(
     heuristics = list(heuristics) if heuristics is not None else FIG9_HEURISTICS
     tasks = [
         (name, h, rtm_names, config.max_instructions, config.scale,
-         config.use_cache)
+         config.use_cache, config.backend)
         for h in heuristics
         for name in config.workloads
     ]

@@ -157,6 +157,14 @@ class Trace:
 _OPCODE_BY_VALUE: dict[int, Opcode] = {int(op): op for op in Opcode}
 
 
+def _pair_rows(bounds: array, locs: array, vals: list) -> list[tuple]:
+    """Every instruction's ``(location, value)`` pairs from one column
+    group: the pairs are zipped once and sliced by the bounds."""
+    pairs = tuple(zip(locs.tolist(), vals))
+    cuts = bounds.tolist()
+    return [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 class ColumnarTrace:
     """A captured dynamic stream in struct-of-arrays layout.
 
@@ -336,7 +344,15 @@ class ColumnarTrace:
         """Row records, materialised lazily and cached."""
         rows = self._rows
         if rows is None:
-            rows = [self.inst(i) for i in range(len(self.pcs))]
+            rows = list(map(
+                DynInst,
+                self.pcs.tolist(),
+                map(_OPCODE_BY_VALUE.__getitem__, self.ops.tolist()),
+                _pair_rows(self.read_bounds, self.read_locs, self.read_vals),
+                _pair_rows(self.write_bounds, self.write_locs, self.write_vals),
+                self.lats.tolist(),
+                self.next_pcs.tolist(),
+            ))
             self._rows = rows
         return rows
 

@@ -36,7 +36,7 @@ Three concrete streams cover the pipeline:
 from __future__ import annotations
 
 import pathlib
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.vm.trace import (
     AnyTrace,
@@ -265,21 +265,32 @@ def as_chunk_stream(traceish, *, chunk_size: int = DEFAULT_CHUNK_SIZE):
     return ColumnarChunkStream(traceish, chunk_size=chunk_size)
 
 
+def row_segments(traceish) -> Iterator[Sequence[DynInst]]:
+    """The ``DynInst`` rows of any trace-like argument, segment by segment.
+
+    A materialized trace (or a plain ``DynInst`` sequence) is a single
+    segment; a chunk stream yields one row list per chunk, materialized
+    only when reached.  The entry point for consumers that walk rows
+    by position (the RTM simulator).
+    """
+    if isinstance(traceish, (Trace, ColumnarTrace)):
+        yield traceish.instructions
+    elif is_chunk_stream(traceish):
+        for segment in traceish.chunks():
+            yield segment.instructions
+    else:
+        yield traceish
+
+
 def iter_insts(traceish) -> Iterator[DynInst]:
     """Iterate ``DynInst`` records over any trace-like argument.
 
     Row materialization happens one chunk at a time for streams; for
     plain traces it is a direct iteration.  The uniform lazy entry
-    point for row-oriented consumers (RTM, predictors, span scans).
+    point for row-oriented consumers (predictors, span scans).
     """
-    if isinstance(traceish, (Trace, ColumnarTrace)):
-        yield from traceish.instructions
-        return
-    if is_chunk_stream(traceish):
-        for segment in traceish.chunks():
-            yield from segment.instructions
-        return
-    yield from traceish
+    for rows in row_segments(traceish):
+        yield from rows
 
 
 def stream_length(traceish) -> int | None:

@@ -142,6 +142,23 @@ class TestFigure9:
             assert 0 <= row[2] <= 100  # reused_pct
             assert row[3] >= 0  # avg trace size
 
+    def test_runs_every_kernel_on_the_configured_backend(self, monkeypatch):
+        from repro.core.rtm.collector import ILRHeuristic
+        from repro.exp import figures
+
+        calls = []
+        real = figures.run_workload
+
+        def recording(name, **kwargs):
+            calls.append((name, kwargs.get("backend")))
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(figures, "run_workload", recording)
+        cfg = ExperimentConfig(max_instructions=1000, workloads=("compress", "li"),
+                               backend="fast", max_workers=1)
+        figure9(cfg, rtm_names=("512",), heuristics=[ILRHeuristic(True)])
+        assert sorted(calls) == [("compress", "fast"), ("li", "fast")]
+
     def test_bigger_rtm_not_worse(self):
         from repro.core.rtm.collector import ILRHeuristic
 

@@ -1,11 +1,17 @@
 """The realistic finite-table engine, end to end."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
+import repro.workloads  # registers the kernels
 from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
 from repro.core.rtm.memory import RTM_PRESETS, RTMConfig
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.baselines.ilr import instruction_reusability
+from repro.workloads.base import all_workloads, run_workload
 
 from conftest import run_asm
 
@@ -150,3 +156,36 @@ class TestFiniteReuseSimulator:
                 RTM_PRESETS[name], ILRHeuristic(expand=True)
             ).run(loopy_trace)
             assert result.total_instructions == len(loopy_trace)
+
+
+#: counters and reused-range digests recorded before the RTM lookup
+#: index and the segment walk (see the file's "about")
+PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "rtm_pinned.json").read_text())
+
+
+def pinned_row(result):
+    ranges = "".join(f"{a}:{b};" for a, b in result.reused_ranges)
+    return [
+        result.total_instructions, result.reused_instructions,
+        result.reuse_events, result.rtm_insertions, result.rtm_occupancy,
+        result.rtm_invalidations, result.collector_limit_terminations,
+        hashlib.sha256(ranges.encode()).hexdigest()[:16],
+    ]
+
+
+@pytest.mark.parametrize("kernel", [w.name for w in all_workloads()])
+def test_results_match_pinned(kernel):
+    """Presets 512/256K x ILR NE/ILR EXP/I1/I4 x both reuse tests give
+    the pinned counters and reused ranges."""
+    trace = run_workload(kernel, max_instructions=PINNED["budget"],
+                         use_cache=False)
+    for size in ("512", "256K"):
+        for heuristic in (ILRHeuristic(False), ILRHeuristic(True),
+                          FixedLengthHeuristic(1), FixedLengthHeuristic(4)):
+            for reuse_test in ("compare", "invalidate"):
+                result = FiniteReuseSimulator(
+                    RTM_PRESETS[size], heuristic, reuse_test=reuse_test,
+                ).run(trace)
+                key = f"{kernel}/{size}/{heuristic.name}/{reuse_test}"
+                assert pinned_row(result) == PINNED["results"][key], key

@@ -440,3 +440,32 @@ class TestEngineProfilingHooks:
         assert "Engine layers" in out
         for name in ("engine.ilr_flags", "engine.precompute", "engine.tlr"):
             assert name in out.split("Engine layers")[1]
+
+
+class TestRTMTelemetry:
+    """The finite-RTM simulator reports its time and its reuse test
+    outcomes once per run."""
+
+    def test_rtm_timer_and_counters(self):
+        from repro.core.rtm import RTM_PRESETS, FiniteReuseSimulator, ILRHeuristic
+        from repro.workloads.base import run_workload
+
+        trace = run_workload("compress", max_instructions=2_000,
+                             use_cache=False)
+        with obs.scope() as registry:
+            results = [
+                FiniteReuseSimulator(RTM_PRESETS["512"], ILRHeuristic(expand),
+                                     reuse_test=reuse_test).run(trace)
+                for expand in (False, True)
+                for reuse_test in ("compare", "invalidate")
+            ]
+            snap = registry.snapshot()
+        n = len(trace)
+        timer = snap["timers"]["rtm.simulate"]
+        assert timer["calls"] == 4 and timer["seconds"] > 0.0
+        counters = snap["counters"]
+        assert counters["rtm.instructions"] == 4 * n
+        assert counters["rtm.hits"] == sum(r.reuse_events for r in results) > 0
+        # one lookup per fetch: every executed instruction and every hit
+        assert counters["rtm.lookups"] == sum(
+            n - r.reused_instructions + r.reuse_events for r in results)

@@ -36,6 +36,7 @@ from repro.dataflow.model import Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
+from repro.vm.trace import slice_columnar
 from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import all_workloads, run_workload, stream_workload
 
@@ -154,22 +155,41 @@ class TestStreamingConsumers:
     @pytest.mark.parametrize("reuse_test", ["compare", "invalidate"])
     def test_rtm_simulator(self, kernel, reuse_test):
         _, trace = kernel
+        cuts = 0
         for heuristic in (ILRHeuristic(False), ILRHeuristic(True),
                           FixedLengthHeuristic(4)):
-            sim = FiniteReuseSimulator(
-                RTM_PRESETS["512"], heuristic, reuse_test=reuse_test)
-            expected = sim.run(trace)
-            sim2 = FiniteReuseSimulator(
-                RTM_PRESETS["512"], heuristic, reuse_test=reuse_test)
-            got = sim2.run(self.stream(trace, chunk_size=101))
-            assert got.reused_instructions == expected.reused_instructions
-            assert got.reuse_events == expected.reuse_events
-            assert got.reused_ranges == expected.reused_ranges
-            assert got.rtm_insertions == expected.rtm_insertions
-            assert got.rtm_occupancy == expected.rtm_occupancy
-            assert got.rtm_invalidations == expected.rtm_invalidations
-            assert (got.collector_limit_terminations
-                    == expected.collector_limit_terminations)
+            expected = FiniteReuseSimulator(
+                RTM_PRESETS["512"], heuristic, reuse_test=reuse_test,
+            ).run(trace)
+            # a stream cut inside a reused trace: the lookup at the cut
+            # trace's start finds the entry but the stream ends first
+            start, stop = next(((a, b) for a, b in expected.reused_ranges
+                                if b - a > 1), (len(trace), len(trace) + 1))
+            cuts += stop <= len(trace)
+            cut = slice_columnar(trace, 0, stop - 1)
+            cut_expected = FiniteReuseSimulator(
+                RTM_PRESETS["512"], heuristic, reuse_test=reuse_test,
+            ).run(cut)
+            assert cut_expected.total_instructions == stop - 1
+            assert [r for r in cut_expected.reused_ranges if r[1] <= start] \
+                == [r for r in expected.reused_ranges if r[1] <= start]
+            assert all(b <= stop - 1 for _, b in cut_expected.reused_ranges)
+            for source, want in ((trace, expected), (cut, cut_expected)):
+                for chunk_size in (1, 7, 4096):
+                    got = FiniteReuseSimulator(
+                        RTM_PRESETS["512"], heuristic, reuse_test=reuse_test,
+                    ).run(self.stream(source, chunk_size=chunk_size))
+                    assert rtm_fields(got) == rtm_fields(want), chunk_size
+        assert cuts > 0
+
+
+def rtm_fields(result):
+    """Every field of a ``FiniteReuseResult``, entries by value."""
+    fields = dataclasses.asdict(result)
+    fields["reused_entries"] = [
+        (e.start_pc, e.length, e.inputs, e.outputs, e.next_pc)
+        for e in result.reused_entries]
+    return repr(fields)
 
 
 class TestStreamingProfiles:

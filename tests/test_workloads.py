@@ -122,3 +122,23 @@ class TestSuiteCharacter:
             sizes[name] = average_span_length(maximal_reusable_spans(trace, flags))
         assert sizes["hydro2d"] > 5 * sizes["applu"]
         assert sizes["hydro2d"] > 5 * sizes["fpppp"]
+
+
+def test_row_view_equals_per_row_records():
+    """``ColumnarTrace.instructions`` (built in batched column passes)
+    equals ``inst(i)`` field for field, with the very value objects."""
+    from repro.vm.trace import ColumnarTrace
+
+    assert ColumnarTrace().instructions == []
+    for name in ALL_NAMES:
+        trace = run_workload(name, max_instructions=1_500, use_cache=False)
+        rows = trace.instructions
+        assert len(rows) == len(trace)
+        for i, row in enumerate(rows):
+            want = trace.inst(i)
+            for field in ("pc", "op", "latency", "next_pc"):
+                got, exp = getattr(row, field), getattr(want, field)
+                assert got == exp and type(got) is type(exp), (name, i, field)
+            for got, exp in ((row.reads, want.reads), (row.writes, want.writes)):
+                assert type(got) is tuple and got == exp, (name, i)
+                assert all(a[1] is b[1] for a, b in zip(got, exp)), (name, i)
